@@ -1,7 +1,7 @@
 """popscape benchmark: desk training and large-population extraction.
 
-    python3 perfbench/run.py --workload desk_serial --seed 1 --seconds 20 --trace 0
-    python3 perfbench/run.py --workload all --seed 1 --seconds 20 --trace 1
+    python3 perfbench/run.py --workload desk_serial --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload all --seed 1 --seconds 15 --trace 1
 
 Run from the repository root.  One workload prints its metrics by name and
 unit, then one JSON line {"correct", "attempted", "failed", "metrics"}:
@@ -12,10 +12,9 @@ other, and adds the derived cross-workload lines.  See perfbench/README.md.
 
 import time
 
-STARTED = time.perf_counter()  # set-up time counts from here
+STARTED = time.perf_counter()
 
 import argparse
-import hashlib
 import json
 import os
 import platform
@@ -25,9 +24,17 @@ import shutil
 import tempfile
 from pathlib import Path
 
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# One BLAS thread per process, set before numpy loads; --jobs workers inherit it.
-os.environ.update({var: "1" for var in THREAD_VARS})
+# Set before numpy loads; --jobs workers inherit them.  One BLAS thread per
+# process.  No huge-page advice from numpy: whether a large array gets huge
+# pages depends on the machine's memory state, which moved the large
+# extraction timings by 10-20% from one process to the next.
+SETTINGS = {
+    "OPENBLAS_NUM_THREADS": "1",
+    "OMP_NUM_THREADS": "1",
+    "MKL_NUM_THREADS": "1",
+    "NUMPY_MADVISE_HUGEPAGE": "0",
+}
+os.environ.update(SETTINGS)
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -37,6 +44,7 @@ WORKLOADS = ("desk_serial", "desk_jobs2", "extract_large")
 
 def environment(seed):
     import numpy as np
+    import workloads
 
     cpu = "unknown"
     try:
@@ -56,9 +64,6 @@ def environment(seed):
             ).stdout.strip()
         except (OSError, subprocess.CalledProcessError):
             pass
-    src = hashlib.sha256()
-    for path in sorted((SRC / "popscape").glob("*.py")):
-        src.update(path.read_bytes())
     return {
         "seed": seed,
         "nproc": os.cpu_count(),
@@ -66,9 +71,9 @@ def environment(seed):
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
-        "threads": {var: os.environ.get(var) for var in THREAD_VARS},
+        "settings": {var: os.environ.get(var) for var in SETTINGS},
         "git_commit": commit,
-        "src_sha256": src.hexdigest()[:16],
+        "src_sha256": workloads.src_digest(),
     }
 
 
@@ -77,24 +82,23 @@ def run_workload(args):
     import workloads
     from tracing import WarningCounter
 
-    scratch_root = ROOT / ".bench_out"
-    scratch_root.mkdir(exist_ok=True)
-    scratch = Path(tempfile.mkdtemp(prefix=f"{args.workload}-", dir=scratch_root))
+    workloads.OUT.mkdir(exist_ok=True)
+    scratch = Path(tempfile.mkdtemp(prefix=f"{args.workload}-", dir=workloads.OUT))
     warnings = WarningCounter()
     try:
         with warnings.attached():
             import_s = time.perf_counter() - STARTED
             if args.workload == "extract_large":
-                result = workloads.extract(args.seed, args.seconds, args.trace, import_s)
+                result = workloads.extract(args.seed, args.seconds, args.trace)
             else:
                 jobs = 2 if args.workload == "desk_jobs2" else 1
-                result = workloads.desk(
-                    args.seed, args.seconds, args.trace, jobs, scratch, import_s
-                )
+                result = workloads.desk(args.seed, args.seconds, args.trace, jobs, scratch)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
     print("env " + json.dumps(environment(args.seed), sort_keys=True))
+    # Start-up is printed, not part of setup_s: it is one noisy sample per run.
+    print(f"import_s (process start to the workload call) = {import_s!r} s")
     for note in result["notes"]:
         print(note)
     print(f"optimizers.clamp_warnings (whole run) = {warnings.count}")

@@ -6,8 +6,9 @@ module namespace that calls it (``metabbo`` imports ``de_step`` by name,
 originals back on exit, so untraced runs execute the unmodified program.
 
 A span's busy time is its wall time; its self time excludes the spans nested
-inside it.  The self times of all spans partition the time covered by
-top-level spans, which is what the remainder accounting on desk relies on.
+inside it, so the self times of different spans never overlap.  The
+remainder accounting on desk sums the self times that emitted metrics carry
+(`REPORTED_SELF`) and leaves the rest of the generation as the remainder.
 """
 
 from __future__ import annotations
@@ -125,6 +126,32 @@ PER_LAYER = (
     ("trace.remainder_s", "s"),
 )
 
+# Spans whose self time an emitted metric carries: a `.self_s` metric, or the
+# `.busy_s` (or alias) of a span with no traced span nested inside it.  The
+# self times of the container spans (pipeline_score, meta_train,
+# run_test_episodes, analyzer.forward) and of `ela.handcrafted_state` inside a
+# generation are in no emitted metric, so they fall into the remainder.
+REPORTED_SELF = (
+    "problems.evaluate_batch",
+    "optimizers.de_step",
+    "optimizers.pso_step",
+    "analyzer.pie_normalize",
+    "analyzer.embed",
+    "analyzer.positional_encoding",
+    "analyzer.pool",
+    "analyzer.cross_solution",
+    "analyzer.cross_dimension",
+    "metabbo.run_episode",
+    "utils.array_digest",
+    "metabbo.policy",
+    "es.inner.sample",
+    "es.inner.update",
+    "es.outer.sample",
+    "es.outer.update",
+    "trainer.checkpoint_io",
+    "trainer.pool",
+)
+
 # Metric name -> accumulator key, where they differ.
 _ALIASES = {
     "es.inner.sample_s": "es.inner.sample.busy_s",
@@ -163,7 +190,6 @@ class Tracer:
 
     def __init__(self):
         self.stats = defaultdict(float)
-        self.covered_s = 0.0  # wall time inside any top-level span
         self._stack = []  # per open span: seconds covered by its children
         self._attn_calls = 0  # attn_block calls within the current forward
 
@@ -172,8 +198,6 @@ class Tracer:
         self._stack.pop()
         if self._stack:
             self._stack[-1][0] += dt
-        else:
-            self.covered_s += dt
         s = self.stats
         s[name + ".calls"] += 1
         s[name + ".busy_s"] += dt
@@ -294,6 +318,10 @@ class Tracer:
             for owner, attr, original in reversed(saved):
                 setattr(owner, attr, original)
             self.stats["optimizers.clamp_warnings"] += warnings.count
+
+    def reported_self_s(self):
+        """Seconds of self time that the emitted metrics carry."""
+        return sum(self.stats.get(span + ".self_s", 0.0) for span in REPORTED_SELF)
 
     def metrics(self, extra):
         """Every PER_LAYER metric, reading `extra` first, then the spans."""

@@ -9,8 +9,10 @@ human-readable `notes`.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
+import os
 import resource
 import shutil
 import tempfile
@@ -30,7 +32,9 @@ from tracing import Tracer
 
 ROOT = Path(__file__).resolve().parent.parent
 DESK_CONFIG = ROOT / "configs" / "desk.json"
-SETUP_REPEATS = 3  # setup_s is the median over this many set-ups in a run
+OUT = ROOT / ".bench_out"  # run directories, and serial histories kept between runs
+EXTRACT_SETUPS = 3  # extract's setup_s is the median over this many set-ups
+MIN_GENERATIONS = 2  # gen_s is a median of at least this many generations
 # Per-layer metrics of the set-up phase; every other one covers the work
 # being measured.
 SETUP_METRICS = (
@@ -38,6 +42,14 @@ SETUP_METRICS = (
     "ela.handcrafted_state.calls",
     "ela.handcrafted_state.busy_s",
 )
+
+
+def src_digest() -> str:
+    """Digest of popscape's sources, so nothing kept between runs outlives them."""
+    digest = hashlib.sha256()
+    for path in sorted((ROOT / "src" / "popscape").glob("*.py")):
+        digest.update(path.read_bytes())
+    return digest.hexdigest()[:16]
 
 
 def peak_rss_mb() -> float:
@@ -104,6 +116,30 @@ class Desk:
         fe_test = n * sum(run.q_runs * len(t.test_functions) * t.budget for t in run.tasks)
         return fe_meta, fe_test
 
+    def matches_serial(self, outdir):
+        """Whether this run's history.csv equals the serial one of the same
+        config on the generations both have.  The serial history is the one
+        an earlier desk run in this checkout kept; without one, desk_serial
+        keeps its own, and a --jobs run makes generation 0 with jobs=1 in a
+        fresh directory and keeps that."""
+        kept = OUT / f"serial-history-{self.config['seed']}-{src_digest()}.csv"
+        ours = (outdir / "history.csv").read_text()
+        if kept.exists():
+            serial = kept.read_text()
+        else:
+            if self.jobs == 1:
+                serial = ours
+            else:
+                ref_run, ref_dir = self.fresh_run(baselines_from=outdir)
+                self.generation(ref_run, ref_dir, 0, 1)
+                serial = (ref_dir / "history.csv").read_text()
+            partial = kept.with_suffix(".tmp")
+            partial.write_text(serial)
+            os.replace(partial, kept)  # a killed run leaves no partial history
+        ours, serial = ours.splitlines(), serial.splitlines()
+        n = min(len(ours), len(serial))
+        return ours[:n] == serial[:n]
+
     def check_history(self, run, result):
         """Failed pipelines in a train result, and whether every generation
         spent the closed-form FE."""
@@ -122,23 +158,22 @@ class Desk:
         return failed, ok
 
 
-def desk(seed, seconds, trace, jobs, scratch, import_s):
-    """`import_s` is the time from process start to this call; each set-up
-    sample adds it to its own config and baseline time."""
+def desk(seed, seconds, trace, jobs, scratch):
     bench = Desk(seed, jobs, scratch)
     if trace:
         return _desk_traced(bench)
-    setups, baseline_texts = [], set()
-    for _ in range(SETUP_REPEATS):
-        run, outdir, elapsed = bench.setup()
-        setups.append(import_s + elapsed)
-        baseline_texts.add((outdir / "baselines.json").read_text())
-    correct = len(baseline_texts) == 1
-    if not correct:
-        bench.notes.append("baselines differ between set-ups of the same config")
+    run, outdir, elapsed = bench.setup()
+    setups, baseline_texts = [elapsed], {(outdir / "baselines.json").read_text()}
+
+    def another_setup():
+        # Set-ups in fresh directories between generations: the samples span
+        # the run, as the generations do, instead of one stretch of seconds.
+        _, extra_dir, elapsed = bench.setup()
+        setups.append(elapsed)
+        baseline_texts.add((extra_dir / "baselines.json").read_text())
 
     per_gen = bench.pipelines_per_generation(run)
-    gen_times, attempted, failed, result = [], 0, 0, None
+    gen_times, attempted, failed, result, correct = [], 0, 0, None, True
     start = time.perf_counter()
     while len(gen_times) < run.max_generations:
         attempted += per_gen
@@ -150,21 +185,20 @@ def desk(seed, seconds, trace, jobs, scratch, import_s):
             correct = False
             break
         gen_times.append(elapsed)
-        if time.perf_counter() - start >= seconds:
+        another_setup()
+        if time.perf_counter() - start >= seconds and len(gen_times) >= MIN_GENERATIONS:
             break
     rss = peak_rss_mb()
+    if len(baseline_texts) != 1:
+        bench.notes.append("baselines differ between set-ups of the same config")
+        correct = False
     if result is not None:
         bad, fe_ok = bench.check_history(run, result)
         failed += bad
         correct = correct and fe_ok and len(result.history) == len(gen_times)
-    if jobs > 1 and result is not None:
-        # The serial reference of generation 0 must match byte for byte.
-        ref_run, ref_dir = bench.fresh_run(baselines_from=outdir)
-        bench.generation(ref_run, ref_dir, 0, 1)
-        serial = (ref_dir / "history.csv").read_text()
-        if not (outdir / "history.csv").read_text().startswith(serial):
-            bench.notes.append("history.csv with --jobs differs from the serial run")
-            correct = False
+    if result is not None and not bench.matches_serial(outdir):
+        bench.notes.append("history.csv differs from the serial run's")
+        correct = False
     if not gen_times:
         return dict(correct=False, attempted=attempted, failed=failed, metrics={},
                     notes=bench.notes)
@@ -202,13 +236,13 @@ def _desk_traced(bench):
     if not correct:
         bench.notes.append("tracing changed history.csv")
     failed, fe_ok = bench.check_history(run, result)
-    covered = gen_tracer.covered_s
+    reported = gen_tracer.reported_self_s()
     extra = {
         "trace.gen_s": traced_s,
         "trace.untraced_gen_s": untraced_s,
         "trace.overhead_s": traced_s - untraced_s,
-        "trace.self_sum_s": covered,
-        "trace.remainder_s": traced_s - covered,
+        "trace.self_sum_s": reported,
+        "trace.remainder_s": traced_s - reported,
     }
     extra.update({k: setup_tracer.stats.get(k, 0.0) for k in SETUP_METRICS})
     return dict(
@@ -304,32 +338,41 @@ class Extract:
         return misses
 
 
-def extract(seed, seconds, trace, import_s):
+def _failed_calls(bench, calls, notes):
+    """Calls that failed on their own or whose observation misses the
+    reference; each call counts once."""
+    misses = set(bench.reference_misses())
+    for cell, index in misses:
+        notes.append(f"{_cell_name(*cell[:3])} observation {index} misses the reference")
+    return sum(
+        not ok or (cell, index) in misses for cell in CELLS for index, ok in calls[cell]
+    )
+
+
+def extract(seed, seconds, trace):
     bench = Extract(seed)
     notes = []
+    calls = {cell: [] for cell in CELLS}  # (observation index, passed) per call
     if trace:
         bench.setup()
         tracer = Tracer()
-        attempted = failed = 0
         with tracer.install():
             for cell in CELLS:
                 for i in range(TRACED_CALLS.get(cell[1:3], 5)):
-                    attempted += 1
-                    failed += not bench.call(cell, i % OBSERVATIONS_PER_CELL)[1]
-        misses = bench.reference_misses()
+                    index = i % OBSERVATIONS_PER_CELL
+                    calls[cell].append((index, bench.call(cell, index)[1]))
+        failed = _failed_calls(bench, calls, notes)
         return dict(
-            correct=not misses and not failed,
-            attempted=attempted,
+            correct=not failed,
+            attempted=sum(map(len, calls.values())),
             failed=failed,
             metrics=tracer.metrics({}),
             notes=notes,
         )
 
-    setups = [import_s + bench.setup() for _ in range(SETUP_REPEATS)]
+    setups = [bench.setup() for _ in range(EXTRACT_SETUPS)]
     samples = {cell: [] for cell in CELLS}
     spent = dict.fromkeys(CELLS, 0.0)
-    calls = {cell: [] for cell in CELLS}  # observation index per call
-    attempted = failed = 0
     start = time.perf_counter()
     while time.perf_counter() - start < seconds or any(
         len(calls[c]) < MIN_SAMPLES for c in CELLS
@@ -337,22 +380,19 @@ def extract(seed, seconds, trace, import_s):
         # Interleave cells so each gets its share of the run.
         cell = min(CELLS, key=lambda c: spent[c] / c[3])
         index = len(calls[cell]) % OBSERVATIONS_PER_CELL
-        calls[cell].append(index)
-        attempted += 1
         try:
             elapsed, ok = bench.call(cell, index)
         except Exception:
             traceback.print_exc()
-            failed += 1
+            calls[cell].append((index, False))
             spent[cell] += 1.0  # a failing cell still uses up its share
             continue
+        calls[cell].append((index, ok))
         spent[cell] += elapsed
         samples[cell].append(elapsed)
-        failed += not ok
     rss = peak_rss_mb()
-    for cell, index in bench.reference_misses():
-        notes.append(f"{_cell_name(*cell[:3])} observation {index} misses the reference")
-        failed += calls[cell].count(index)
+    attempted = sum(map(len, calls.values()))
+    failed = _failed_calls(bench, calls, notes)
 
     metrics = {"setup_s": _metric(np.median(setups), "s"), "peak_rss_mb": _metric(rss, "MB")}
     medians = {}
