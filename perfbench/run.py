@@ -1,7 +1,7 @@
 """popscape benchmark: desk training and large-population extraction.
 
-    python3 perfbench/run.py --workload desk_serial --seed 1 --seconds 15 --trace 0
-    python3 perfbench/run.py --workload all --seed 1 --seconds 15 --trace 1
+    python3 perfbench/run.py --workload desk_serial --seed 1 --seconds 10 --trace 0
+    python3 perfbench/run.py --workload all --seed 1 --seconds 10 --trace 1
 
 Run from the repository root.  One workload prints its metrics by name and
 unit, then one JSON line {"correct", "attempted", "failed", "metrics"}:
@@ -106,9 +106,25 @@ def run_workload(args):
           f"{result['failed'] / max(result['attempted'], 1):.6g}")
     for name, m in result["metrics"].items():
         print(f"{name} = {m['value']!r} {m['unit']}")
+    if result["metrics"] and not matches_manifest(result["metrics"], args.trace):
+        return 1
     summary = {k: result[k] for k in ("correct", "attempted", "failed", "metrics")}
     print(json.dumps(summary))
     return 0 if result["correct"] and result["metrics"] else 1
+
+
+def matches_manifest(metrics, trace):
+    """Whether the metrics are exactly BENCHMARK.json's list for this mode,
+    each in its unit."""
+    manifest = json.loads((ROOT / "BENCHMARK.json").read_text())
+    want = {m["name"]: m["unit"] for m in manifest["per_layer" if trace else "end_to_end"]}
+    got = {name: m["unit"] for name, m in metrics.items()}
+    if got == want:
+        return True
+    print(f"metrics differ from BENCHMARK.json: missing {sorted(want.keys() - got.keys())}, "
+          f"extra {sorted(got.keys() - want.keys())}, units "
+          f"{sorted(k for k in want.keys() & got.keys() if want[k] != got[k])}", file=sys.stderr)
+    return False
 
 
 def run_all(args):
@@ -131,7 +147,7 @@ def run_all(args):
     def value(workload, metric):
         return results.get(workload, {}).get("metrics", {}).get(metric, {}).get("value")
 
-    serial, jobs2 = value("desk_serial", "gen_s"), value("desk_jobs2", "gen_s")
+    serial, jobs2 = value("desk_serial", "round_s"), value("desk_jobs2", "round_s")
     if serial and jobs2:
         print(f"scaling_efficiency = gen_s(desk_serial) / (2 * gen_s(desk_jobs2)) = "
               f"{serial:.3f} / (2 * {jobs2:.3f}) = {serial / (2 * jobs2):.3f}")

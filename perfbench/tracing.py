@@ -7,8 +7,8 @@ originals back on exit, so untraced runs execute the unmodified program.
 
 A span's busy time is its wall time; its self time excludes the spans nested
 inside it, so the self times of different spans never overlap.  The
-remainder accounting on desk sums the self times that emitted metrics carry
-(`REPORTED_SELF`) and leaves the rest of the generation as the remainder.
+remainder accounting sums the self times that emitted metrics carry
+(`REPORTED_SELF`) and leaves the rest of the traced round as the remainder.
 """
 
 from __future__ import annotations
@@ -119,8 +119,8 @@ PER_LAYER = (
     ("trainer.checkpoint_io.busy_s", "s"),
     ("trainer.checkpoint_io.bytes", "B"),
     ("trainer.pool.wall_s", "s"),
-    ("trace.gen_s", "s"),
-    ("trace.untraced_gen_s", "s"),
+    ("trace.round_s", "s"),
+    ("trace.untraced_round_s", "s"),
     ("trace.overhead_s", "s"),
     ("trace.self_sum_s", "s"),
     ("trace.remainder_s", "s"),
@@ -150,6 +150,14 @@ REPORTED_SELF = (
     "es.outer.update",
     "trainer.checkpoint_io",
     "trainer.pool",
+    "ela.fdc",
+    "ela.dispersion",
+    "ela.information_content",
+    "ela.nbc",
+    "ela.distribution",
+    "ela.meta_model",
+    "ela.level_set",
+    "ela.principal_component",
 )
 
 # Metric name -> accumulator key, where they differ.
@@ -322,6 +330,18 @@ class Tracer:
     def reported_self_s(self):
         """Seconds of self time that the emitted metrics carry."""
         return sum(self.stats.get(span + ".self_s", 0.0) for span in REPORTED_SELF)
+
+    def accounting(self, traced_s, untraced_s):
+        """The trace.* metrics of one traced round, timed against the same
+        work run untraced."""
+        reported = self.reported_self_s()
+        return {
+            "trace.round_s": traced_s,
+            "trace.untraced_round_s": untraced_s,
+            "trace.overhead_s": traced_s - untraced_s,
+            "trace.self_sum_s": reported,
+            "trace.remainder_s": traced_s - reported,
+        }
 
     def metrics(self, extra):
         """Every PER_LAYER metric, reading `extra` first, then the spans."""

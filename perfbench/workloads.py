@@ -63,6 +63,17 @@ def _metric(value, unit):
     return {"value": float(value), "unit": unit}
 
 
+def _end_to_end(setup_s, round_s, rss_mb):
+    """The end-to-end metrics every workload reports.  A round is the
+    workload's unit of repeated work: one outer generation on desk, one call
+    at each extraction cell on extract."""
+    return {
+        "setup_s": _metric(setup_s, "s"),
+        "round_s": _metric(round_s, "s"),
+        "peak_rss_mb": _metric(rss_mb, "MB"),
+    }
+
+
 class Desk:
     """`configs/desk.json` with the workload seed, trained one generation per
     `train` call (each later call resumes), so every call's wall time is one
@@ -204,6 +215,7 @@ def desk(seed, seconds, trace, jobs, scratch):
                     notes=bench.notes)
     gen_s = float(np.median(gen_times))
     bench.notes.append(f"gen_s samples: {len(gen_times)} generations {gen_times}")
+    bench.notes.append(f"gen_s = {gen_s!r} s (reported as round_s)")
     bench.notes.append(f"setup_s samples: {len(setups)} {setups}")
     fe = sum(bench.closed_form_fe(run))
     bench.notes.append(f"derived fe_per_s = {fe} FE / gen_s = {fe / gen_s:.1f}")
@@ -211,11 +223,7 @@ def desk(seed, seconds, trace, jobs, scratch):
         correct=correct,
         attempted=attempted,
         failed=failed,
-        metrics={
-            "setup_s": _metric(np.median(setups), "s"),
-            "gen_s": _metric(gen_s, "s"),
-            "peak_rss_mb": _metric(rss, "MB"),
-        },
+        metrics=_end_to_end(np.median(setups), gen_s, rss),
         notes=bench.notes,
     )
 
@@ -236,14 +244,7 @@ def _desk_traced(bench):
     if not correct:
         bench.notes.append("tracing changed history.csv")
     failed, fe_ok = bench.check_history(run, result)
-    reported = gen_tracer.reported_self_s()
-    extra = {
-        "trace.gen_s": traced_s,
-        "trace.untraced_gen_s": untraced_s,
-        "trace.overhead_s": traced_s - untraced_s,
-        "trace.self_sum_s": reported,
-        "trace.remainder_s": traced_s - reported,
-    }
+    extra = gen_tracer.accounting(traced_s, untraced_s)
     extra.update({k: setup_tracer.stats.get(k, 0.0) for k in SETUP_METRICS})
     return dict(
         correct=correct and fe_ok,
@@ -257,14 +258,14 @@ def _desk_traced(bench):
 # --- extraction ------------------------------------------------------------------
 
 # (extractor kind, m, d) and the share of the run each cell is timed for.
-# The classical-suite timings are printed but not gated: they swing with host
-# contention about twice as much as the encoder (see README.md).
+# round_s is the sum of the per-cell medians; each cell's median and the p90
+# of the smaller encoder cells are printed with their sample counts.
 CELLS = (
-    ("neural", 1000, 10, 0.27),
-    ("neural", 100, 100, 0.08),
-    ("neural", 1000, 100, 0.40),
-    ("ela", 1000, 10, 0.14),
-    ("ela", 100, 100, 0.11),
+    ("neural", 1000, 10, 0.15),
+    ("neural", 100, 100, 0.05),
+    ("neural", 1000, 100, 0.60),
+    ("ela", 1000, 10, 0.10),
+    ("ela", 100, 100, 0.10),
 )
 OBSERVATIONS_PER_CELL = 2
 MIN_SAMPLES = 3
@@ -355,18 +356,27 @@ def extract(seed, seconds, trace):
     calls = {cell: [] for cell in CELLS}  # (observation index, passed) per call
     if trace:
         bench.setup()
+        plan = [
+            (cell, i % OBSERVATIONS_PER_CELL)
+            for cell in CELLS for i in range(TRACED_CALLS.get(cell[1:3], 5))
+        ]
+
+        def one_round():
+            t0 = time.perf_counter()
+            for cell, index in plan:
+                calls[cell].append((index, bench.call(cell, index)[1]))
+            return time.perf_counter() - t0
+
+        untraced_s = one_round()
         tracer = Tracer()
         with tracer.install():
-            for cell in CELLS:
-                for i in range(TRACED_CALLS.get(cell[1:3], 5)):
-                    index = i % OBSERVATIONS_PER_CELL
-                    calls[cell].append((index, bench.call(cell, index)[1]))
+            traced_s = one_round()
         failed = _failed_calls(bench, calls, notes)
         return dict(
             correct=not failed,
             attempted=sum(map(len, calls.values())),
             failed=failed,
-            metrics=tracer.metrics({}),
+            metrics=tracer.metrics(tracer.accounting(traced_s, untraced_s)),
             notes=notes,
         )
 
@@ -374,11 +384,15 @@ def extract(seed, seconds, trace):
     samples = {cell: [] for cell in CELLS}
     spent = dict.fromkeys(CELLS, 0.0)
     start = time.perf_counter()
-    while time.perf_counter() - start < seconds or any(
-        len(calls[c]) < MIN_SAMPLES for c in CELLS
-    ):
-        # Interleave cells so each gets its share of the run.
-        cell = min(CELLS, key=lambda c: spent[c] / c[3])
+    while True:
+        # Interleave cells so each gets its share of the run; past the
+        # deadline, only cells still short of MIN_SAMPLES run.
+        due = CELLS if time.perf_counter() - start < seconds else [
+            c for c in CELLS if len(calls[c]) < MIN_SAMPLES
+        ]
+        if not due:
+            break
+        cell = min(due, key=lambda c: spent[c] / c[3])
         index = len(calls[cell]) % OBSERVATIONS_PER_CELL
         try:
             elapsed, ok = bench.call(cell, index)
@@ -394,7 +408,6 @@ def extract(seed, seconds, trace):
     attempted = sum(map(len, calls.values()))
     failed = _failed_calls(bench, calls, notes)
 
-    metrics = {"setup_s": _metric(np.median(setups), "s"), "peak_rss_mb": _metric(rss, "MB")}
     medians = {}
     for cell in CELLS:
         name, values = _cell_name(*cell[:3]), samples[cell]
@@ -402,10 +415,8 @@ def extract(seed, seconds, trace):
             continue
         medians[name] = float(np.median(values))
         notes.append(f"{name}: {len(values)} samples, median {medians[name]!r} s")
-        if cell[0] == "neural":
-            metrics[name] = _metric(medians[name], "s")
         if cell[:3] in P90_CELLS:
-            metrics[name + ".p90"] = _metric(np.percentile(values, 90), "s")
+            notes.append(f"{name}.p90 = {float(np.percentile(values, 90))!r} s")
     if "neural_s.m1000_d10" in medians and "ela_s.m1000_d10" in medians:
         ratio = medians["ela_s.m1000_d10"] / medians["neural_s.m1000_d10"]
         notes.append(
@@ -413,10 +424,13 @@ def extract(seed, seconds, trace):
             "(acceptance criterion 6 needs >= 5x)"
         )
     notes.append(f"setup_s samples: {len(setups)} {setups}")
+    if len(medians) < len(CELLS):  # a cell without a single good call has no round
+        return dict(correct=False, attempted=attempted, failed=failed, metrics={},
+                    notes=notes)
     return dict(
         correct=failed == 0,
         attempted=attempted,
         failed=failed,
-        metrics=metrics,
+        metrics=_end_to_end(np.median(setups), sum(medians.values()), rss),
         notes=notes,
     )
