@@ -2,12 +2,33 @@
 """Wall-time comparison of the three feature extractors over an (m, d) grid.
 
 Reproduces the timing-table layout (rows = extractor, columns = grid cells)
-and prints the derived ratios that the efficiency discussion rests on.
+and prints the derived ratios that the efficiency discussion rests on, then
+the peak traced memory of one untimed extraction per (extractor, cell).
 """
 
 import argparse
+import tracemalloc
 
-from popscape.analysis import bench_grid, timings_to_table_csv
+from popscape.analysis import (
+    BENCH_EXTRACTORS,
+    bench_grid,
+    make_bench_extractor,
+    random_observations,
+    timings_to_table_csv,
+)
+
+
+def peak_traced_mb(kind, m, d):
+    """Peak memory traced by `tracemalloc` during one extraction, in MB."""
+    fn = make_bench_extractor(kind)
+    obs = random_observations(m, d, count=1)[0]
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn(obs)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def main():
@@ -30,6 +51,12 @@ def main():
           f"{mean[('ela', 100, 100)] / mean[('ela', 100, 10)]:.1f}x")
     print(f"neural growth d=10 -> d=100 at m=100: "
           f"{mean[('neural', 100, 100)] / mean[('neural', 100, 10)]:.1f}x")
+
+    print("peak traced memory (MB) of one extraction")
+    print("extractor," + ",".join(f"m{m}_d{d}" for m, d in cells))
+    for kind in BENCH_EXTRACTORS:
+        peaks = (peak_traced_mb(kind, m, d) for m, d in cells)
+        print(kind + "," + ",".join(f"{p:.1f}" for p in peaks))
 
 
 if __name__ == "__main__":

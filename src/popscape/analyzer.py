@@ -13,6 +13,10 @@ feature.  The pipeline is:
 4. mean pooling over dimensions (per-candidate features) and over
    candidates (population feature).
 
+Each attention block runs over its batch of slices in chunks that hold at
+most `SCORE_BLOCK_BYTES` of attention scores, so memory stays bounded at
+large m and d without changing a single output bit.
+
 The forward pass is a pure function of the flat weight vector and the
 observation; there is no randomness and no autodiff.  All weights live in a
 flat vector with a fixed, documented layout so that evolution strategies
@@ -24,6 +28,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -33,6 +38,10 @@ import numpy as np
 from .errors import CodecError, ConfigError, IntegrityError
 
 LN_EPS = 1e-5
+
+# Most float64 attention-score bytes (slices x heads x L x L) one
+# `attn_block` chunk holds; a single slice larger than this runs alone.
+SCORE_BLOCK_BYTES = 8 << 20
 
 CHECKPOINT_FORMAT = "popscape-analyzer"
 CHECKPOINT_VERSION = 1
@@ -222,16 +231,34 @@ def self_attention(x: np.ndarray, p: AttnBlockParams, num_heads: int) -> np.ndar
         return t.reshape(*batch, L, num_heads, dk).swapaxes(-3, -2)
 
     q, k, v = heads(x @ p.wq), heads(x @ p.wk), heads(x @ p.wv)
-    scores = q @ k.swapaxes(-1, -2) / np.sqrt(dk)
+    scores = q @ k.swapaxes(-1, -2)
+    scores /= np.sqrt(dk)
     scores -= scores.max(axis=-1, keepdims=True)
-    weights = np.exp(scores)
-    weights /= weights.sum(axis=-1, keepdims=True)
-    out = (weights @ v).swapaxes(-3, -2).reshape(*batch, L, h)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    out = (scores @ v).swapaxes(-3, -2).reshape(*batch, L, h)
     return out @ p.wo
 
 
 def attn_block(x: np.ndarray, p: AttnBlockParams, num_heads: int = 1) -> np.ndarray:
-    """LN(x + MHSA(x)) -> FF2(ReLU(FF1(.))) -> LN(residual sum)."""
+    """LN(x + MHSA(x)) -> FF2(ReLU(FF1(.))) -> LN(residual sum).
+
+    Leading axes are a batch of independent slices.  When their scores would
+    exceed `SCORE_BLOCK_BYTES`, the slices run in chunks through the same
+    per-slice arithmetic, so the result is bit-identical to one call.
+    """
+    *batch, L, h = x.shape
+    step = max(1, SCORE_BLOCK_BYTES // (num_heads * L * L * 8))
+    if math.prod(batch) <= step:
+        return _block(x, p, num_heads)
+    flat = x.reshape(-1, L, h)
+    out = np.empty(flat.shape)
+    for i in range(0, flat.shape[0], step):
+        out[i : i + step] = _block(flat[i : i + step], p, num_heads)
+    return out.reshape(x.shape)
+
+
+def _block(x: np.ndarray, p: AttnBlockParams, num_heads: int) -> np.ndarray:
     g = layer_norm(x + self_attention(x, p, num_heads), p.ln1_gain, p.ln1_bias)
     hidden = np.maximum(g @ p.ff1_w + p.ff1_b, 0.0)
     return layer_norm(g + (hidden @ p.ff2_w + p.ff2_b), p.ln2_gain, p.ln2_bias)

@@ -123,7 +123,8 @@ def compute_baselines(
     tasks, q_runs: int, seed: int, cache_path: Optional[Path] = None
 ) -> dict[str, BaselineStats]:
     """Baseline statistics per task, served from the cache when the key
-    (task id, Q, seed base) already has an entry."""
+    (digest of the whole task spec, Q, seed base) already has an entry, so a
+    task that keeps its id but changes dimension or budget is recomputed."""
     cache: dict[str, dict] = {}
     if cache_path is not None and Path(cache_path).exists():
         cache = json.loads(Path(cache_path).read_text())
@@ -131,7 +132,8 @@ def compute_baselines(
     dirty = False
     for task in tasks:
         seed_base = derive_seed(seed, "baseline")
-        key = f"{task.id}|q{q_runs}|s{seed_base}"
+        spec = hashlib.sha256(json.dumps(task.to_dict(), sort_keys=True).encode())
+        key = f"{task.id}|{spec.hexdigest()[:16]}|q{q_runs}|s{seed_base}"
         if key in cache:
             out[task.id] = BaselineStats.from_dict(cache[key])
             continue

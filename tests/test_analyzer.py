@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from popscape.analyzer import (
+    SCORE_BLOCK_BYTES,
     AnalyzerConfig,
     Observation,
     ParamVector,
@@ -155,6 +157,36 @@ def test_attn_block_matches_scalar_oracle(rng, heads):
     p = net.layers[0].cross_dimension
     x = rng.normal(size=(5, cfg.hidden_dim))
     assert np.max(np.abs(attn_block(x, p, heads) - ref_attn_block(x, p, heads))) < 1e-9
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_attn_block_chunked_batch_is_bit_identical(rng, heads):
+    # one 1100 x 1100 float64 score slice (9.7 MB) exceeds SCORE_BLOCK_BYTES,
+    # so the three slices run as three chunks
+    L = 1100
+    assert L * L * 8 > SCORE_BLOCK_BYTES
+    cfg = AnalyzerConfig(hidden_dim=4, num_heads=heads)
+    net, _ = random_net(cfg, 21 + heads)
+    p = net.layers[0].cross_solution
+    x = rng.normal(size=(3, L, cfg.hidden_dim))
+    out = attn_block(x, p, heads)
+    assert np.array_equal(out, np.stack([attn_block(s, p, heads) for s in x]))
+    assert np.max(np.abs(out[1] - ref_attn_block(x[1], p, heads))) < 1e-9
+
+
+def test_large_forward_holds_bounded_scores():
+    # one stage's scores at (m=1000, d=20) are 160 MB if held all at once
+    cfg = AnalyzerConfig()
+    net, rng = random_net(cfg, 9)
+    obs = random_observation(rng, m=1000, d=20)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        net.features(obs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
 
 
 # --- two-stage forward ------------------------------------------------------------

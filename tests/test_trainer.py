@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from popscape.analyzer import AnalyzerConfig, load_checkpoint, param_count
 from popscape.errors import ConfigError, IntegrityError
-from popscape.metabbo import TaskSpec, UpsilonResult
+from popscape.metabbo import TaskSpec, UpsilonResult, compute_baseline
 from popscape.trainer import (
     TrainingRunConfig,
     compute_baselines,
@@ -17,6 +18,7 @@ from popscape.trainer import (
     zero_shot,
 )
 from popscape import trainer as trainer_module
+from popscape.utils import derive_seed
 
 
 def tiny_tasks():
@@ -202,6 +204,17 @@ def test_baseline_cache_survives_reload_bit_exact(tmp_path):
         for fid in first[tid].stats:
             assert first[tid].stats[fid] == reloaded[tid].stats[fid]
     assert json.loads(cache.read_text()) == raw
+
+
+def test_baseline_cache_misses_on_changed_task_with_same_id(tmp_path):
+    run = tiny_run()
+    cache = tmp_path / "baselines.json"
+    task = run.tasks[0]
+    compute_baselines([task], run.q_runs, run.seed, cache_path=cache)
+    changed = dataclasses.replace(task, dimension=6, budget=120)
+    served = compute_baselines([changed], run.q_runs, run.seed, cache_path=cache)
+    fresh = compute_baseline(changed, run.q_runs, derive_seed(run.seed, "baseline"))
+    assert served[task.id].stats == fresh.stats
 
 
 # --- evaluation workflows --------------------------------------------------------------
