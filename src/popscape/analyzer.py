@@ -25,17 +25,14 @@ can optimize them directly.
 
 from __future__ import annotations
 
-import base64
-import hashlib
-import json
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import CodecError, ConfigError, IntegrityError
+from .utils import f8_from_b64, f8_to_b64, read_sealed, write_sealed
 
 LN_EPS = 1e-5
 
@@ -67,12 +64,7 @@ class AnalyzerConfig:
             object.__setattr__(self, "ff_inner_dim", self.hidden_dim)
 
     def to_dict(self) -> dict:
-        return {
-            "hidden_dim": self.hidden_dim,
-            "num_heads": self.num_heads,
-            "num_layers": self.num_layers,
-            "ff_inner_dim": self.ff_inner_dim,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "AnalyzerConfig":
@@ -381,7 +373,7 @@ def _checkpoint_payload(
     config: AnalyzerConfig, theta: np.ndarray, provenance: dict
 ) -> dict:
     lay = layout(config)
-    theta = np.ascontiguousarray(np.asarray(theta, dtype="<f8").reshape(-1))
+    theta = np.asarray(theta, dtype=float).reshape(-1)
     expected = sum(int(np.prod(s)) for _, s in lay)
     if theta.shape[0] != expected:
         raise CodecError(
@@ -394,7 +386,7 @@ def _checkpoint_payload(
         "layout": [[name, list(shape)] for name, shape in lay],
         "param_count": expected,
         "dtype": "<f8",
-        "theta_b64": base64.b64encode(theta.tobytes()).decode("ascii"),
+        "theta_b64": f8_to_b64(theta),
         "provenance": dict(provenance),
     }
 
@@ -403,27 +395,14 @@ def save_checkpoint(
     path, config: AnalyzerConfig, theta: np.ndarray, provenance: Optional[dict] = None
 ) -> None:
     payload = _checkpoint_payload(config, theta, provenance or {})
-    canonical = json.dumps(payload, sort_keys=True).encode()
-    payload["sha256"] = hashlib.sha256(canonical).hexdigest()
-    Path(path).write_text(json.dumps(payload, indent=1, sort_keys=True))
+    write_sealed(path, payload, indent=1)
 
 
 def load_checkpoint(path) -> tuple[AnalyzerConfig, np.ndarray, dict]:
     """Read a checkpoint; bit-exact round trip of theta, verified by checksum."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise IntegrityError(f"cannot read checkpoint {path}: {exc}") from exc
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise IntegrityError(f"{path} is not an analyzer checkpoint")
-    stored = payload.pop("sha256", None)
-    canonical = json.dumps(payload, sort_keys=True).encode()
-    if stored != hashlib.sha256(canonical).hexdigest():
-        raise IntegrityError(f"checkpoint {path} failed its integrity check")
+    payload = read_sealed(path, CHECKPOINT_FORMAT)
     config = AnalyzerConfig.from_dict(payload["config"])
-    theta = np.frombuffer(
-        base64.b64decode(payload["theta_b64"]), dtype="<f8"
-    ).astype(float, copy=True)
+    theta = f8_from_b64(payload["theta_b64"])
     if theta.shape[0] != payload["param_count"]:
         raise IntegrityError(f"checkpoint {path} has a truncated parameter vector")
     return config, theta, payload.get("provenance", {})

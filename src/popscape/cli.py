@@ -35,6 +35,7 @@ from .ela import ELA_FEATURE_NAMES, HANDCRAFTED_NAMES, RunContext, features_to_c
 from .errors import ConfigError, IntegrityError
 from .metabbo import TaskSpec, make_slot_extractor
 from .trainer import TrainingRunConfig, fine_tune, train, zero_shot
+from .utils import write_atomic
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -112,13 +113,17 @@ def _check_keys(data: dict, schema: dict, path: str) -> None:
             )
 
 
-def load_train_config(path) -> TrainingRunConfig:
+def _read_json(path, what: str):
     try:
-        data = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+
+
+def load_train_config(path) -> TrainingRunConfig:
+    data = _read_json(path, "config")
     _check_keys(data, _TRAIN_SCHEMA, "config")
     for i, task in enumerate(data.get("tasks", [])):
         _check_keys(task, _TASK_SCHEMA, f"config.tasks[{i}]")
@@ -144,12 +149,7 @@ def load_train_config(path) -> TrainingRunConfig:
 
 
 def load_task_config(path) -> TaskSpec:
-    try:
-        data = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read task config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    data = _read_json(path, "task config")
     _check_keys(data, _TASK_SCHEMA, "task")
     if data.get("noise") is not None:
         _check_keys(data["noise"], _NOISE_SCHEMA, "task.noise")
@@ -257,9 +257,8 @@ def cmd_train(args) -> int:
             raise ConfigError(f"resume directory {run_dir} does not exist")
     else:
         run_dir = _run_directory(args, run.seed)
-    (run_dir / "config.json").write_text(
-        json.dumps(run.to_dict(), indent=1, sort_keys=True)
-    )
+    config_text = json.dumps(run.to_dict(), indent=1, sort_keys=True)
+    write_atomic(run_dir / "config.json", config_text)
     result = train(run, run_dir, jobs=args.jobs, resume=bool(args.resume))
     print(f"run directory: {result.outdir}")
     print(f"best fitness {result.fitness:.6f} at generation {result.generation}")
@@ -325,12 +324,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    try:
-        grid = json.loads(Path(args.grid).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read grid config {args.grid}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{args.grid}: line {exc.lineno}: {exc.msg}") from exc
+    grid = _read_json(args.grid, "grid config")
     _check_keys(
         grid,
         {
@@ -363,12 +357,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        inputs = json.loads(Path(args.inputs).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read inputs {args.inputs}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{args.inputs}: line {exc.lineno}: {exc.msg}") from exc
+    inputs = _read_json(args.inputs, "inputs")
     _check_keys(
         inputs,
         {

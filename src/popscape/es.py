@@ -25,16 +25,16 @@ checkpointing.
 
 from __future__ import annotations
 
-import base64
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConfigError
+from .utils import f8_from_b64, f8_to_b64
 
 logger = logging.getLogger(__name__)
 
@@ -79,16 +79,7 @@ class EsConfig:
             object.__setattr__(self, "path_lr", 2.0 / (self.dim + 5.0))
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant.value,
-            "dim": self.dim,
-            "population": self.population,
-            "initial_sigma": self.initial_sigma,
-            "initial_mean_mode": self.initial_mean_mode,
-            "path_lr": self.path_lr,
-            "seed": self.seed,
-            "stall_generations": self.stall_generations,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "EsConfig":
@@ -358,70 +349,40 @@ def _refresh_eigensystem(state: EsState) -> None:
 # --- serialization -----------------------------------------------------------
 
 
-def _enc(a: Optional[np.ndarray]):
-    if a is None:
-        return None
-    a = np.ascontiguousarray(np.asarray(a, dtype="<f8"))
-    return {"shape": list(a.shape), "data": base64.b64encode(a.tobytes()).decode()}
+def _enc(value):
+    """JSON form of an EsState field: arrays become shape plus base64 float64,
+    lists are encoded element-wise, anything else is kept as it is."""
+    if isinstance(value, np.ndarray):
+        return {"shape": list(value.shape), "data": f8_to_b64(value)}
+    if isinstance(value, list):
+        return [_enc(v) for v in value]
+    return value
 
 
-def _dec(obj):
-    if obj is None:
-        return None
-    return np.frombuffer(base64.b64decode(obj["data"]), dtype="<f8").reshape(
-        obj["shape"]
-    ).copy()
+def _dec(value):
+    if isinstance(value, dict):
+        return f8_from_b64(value["data"]).reshape(value["shape"])
+    if isinstance(value, list):
+        return [_dec(v) for v in value]
+    return value
+
+
+# The config and the generator are stored under "cfg" and "rng_state".
+_STATE_FIELDS = tuple(f.name for f in fields(EsState) if f.name not in ("cfg", "rng"))
 
 
 def state_to_dict(state: EsState) -> dict:
-    return {
-        "cfg": state.cfg.to_dict(),
-        "mean": _enc(state.mean),
-        "sigma": state.sigma,
-        "gen": state.gen,
-        "rng_state": state.rng.bit_generator.state,
-        "best_x": _enc(state.best_x),
-        "best_f": state.best_f,
-        "gens_since_improvement": state.gens_since_improvement,
-        "stalled": state.stalled,
-        "C": _enc(state.C),
-        "eig_basis": _enc(state.eig_basis),
-        "eig_scale": _enc(state.eig_scale),
-        "C_diag": _enc(state.C_diag),
-        "p_sigma": _enc(state.p_sigma),
-        "p_c": _enc(state.p_c),
-        "path": _enc(state.path),
-        "directions": [_enc(v) for v in state.directions],
-        "direction_gens": list(state.direction_gens),
-        "archive": [_enc(v) for v in state.archive],
-        "psr_s": state.psr_s,
-        "prev_fitness": _enc(state.prev_fitness),
-    }
+    d = {name: _enc(getattr(state, name)) for name in _STATE_FIELDS}
+    d["cfg"] = state.cfg.to_dict()
+    d["rng_state"] = state.rng.bit_generator.state
+    return d
 
 
 def state_from_dict(d: dict) -> EsState:
-    cfg = EsConfig.from_dict(d["cfg"])
     rng = np.random.Generator(np.random.PCG64())
     rng.bit_generator.state = d["rng_state"]
-    state = EsState(cfg=cfg, mean=_dec(d["mean"]), sigma=d["sigma"], rng=rng)
-    state.gen = d["gen"]
-    state.best_x = _dec(d["best_x"])
-    state.best_f = d["best_f"]
-    state.gens_since_improvement = d["gens_since_improvement"]
-    state.stalled = d["stalled"]
-    state.C = _dec(d["C"])
-    state.eig_basis = _dec(d["eig_basis"])
-    state.eig_scale = _dec(d["eig_scale"])
-    state.C_diag = _dec(d["C_diag"])
-    state.p_sigma = _dec(d["p_sigma"])
-    state.p_c = _dec(d["p_c"])
-    state.path = _dec(d["path"])
-    state.directions = [_dec(v) for v in d["directions"]]
-    state.direction_gens = list(d["direction_gens"])
-    state.archive = [_dec(v) for v in d["archive"]]
-    state.psr_s = d["psr_s"]
-    state.prev_fitness = _dec(d["prev_fitness"])
-    return state
+    values = {name: _dec(d[name]) for name in _STATE_FIELDS}
+    return EsState(cfg=EsConfig.from_dict(d["cfg"]), rng=rng, **values)
 
 
 # --- minimization driver ------------------------------------------------------

@@ -13,7 +13,7 @@ runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -209,6 +209,8 @@ class TaskSpec:
     episodes_per_eval: int = 1
 
     def __post_init__(self):
+        if isinstance(self.noise, dict):
+            object.__setattr__(self, "noise", NoiseModel(**self.noise))
         object.__setattr__(self, "train_functions", tuple(self.train_functions))
         object.__setattr__(self, "test_functions", tuple(self.test_functions))
         if self.optimizer not in ("de", "pso"):
@@ -235,32 +237,10 @@ class TaskSpec:
         return policy_template_for(self.optimizer, self.policy_hidden)
 
     def to_dict(self) -> dict:
-        d = {
-            "id": self.id,
-            "optimizer": self.optimizer,
-            "dimension": self.dimension,
-            "train_functions": list(self.train_functions),
-            "test_functions": list(self.test_functions),
-            "population_size": self.population_size,
-            "budget": self.budget,
-            "noise": None
-            if self.noise is None
-            else {"kind": self.noise.kind.value, "level": self.noise.level},
-            "analyzer_slot": self.analyzer_slot,
-            "policy_hidden": self.policy_hidden,
-            "inner_variant": self.inner_variant,
-            "inner_population": self.inner_population,
-            "inner_epochs": self.inner_epochs,
-            "episodes_per_eval": self.episodes_per_eval,
-        }
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TaskSpec":
-        d = dict(d)
-        noise = d.get("noise")
-        if noise is not None:
-            d["noise"] = NoiseModel(kind=noise["kind"], level=noise["level"])
         return cls(**d)
 
 

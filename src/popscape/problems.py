@@ -43,6 +43,11 @@ class NoiseModel:
     level: float
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "kind", NoiseKind(self.kind))
+        except ValueError:
+            kinds = [k.value for k in NoiseKind]
+            raise ConfigError(f"unknown noise kind {self.kind!r}; one of {kinds}") from None
         if self.level < 0:
             raise ConfigError(f"noise level must be >= 0, got {self.level}")
 
@@ -50,10 +55,8 @@ class NoiseModel:
         if self.kind == NoiseKind.GAUSSIAN_MULTIPLICATIVE:
             z = rng.standard_normal(values.shape)
             return values * np.exp(self.level * z)
-        if self.kind == NoiseKind.CAUCHY_ADDITIVE:
-            c = rng.standard_cauchy(values.shape)
-            return values + np.clip(self.level * c, -1e6, 1e6)
-        raise ConfigError(f"unknown noise kind {self.kind!r}")
+        c = rng.standard_cauchy(values.shape)
+        return values + np.clip(self.level * c, -1e6, 1e6)
 
 
 def _sphere(z: np.ndarray) -> np.ndarray:

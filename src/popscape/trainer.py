@@ -14,19 +14,17 @@ the evolution-strategy state and seeds derived from the generation index.
 
 from __future__ import annotations
 
-import base64
-import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .analyzer import AnalyzerConfig, decode_params, param_count, save_checkpoint
-from .errors import ConfigError, IntegrityError
+from .errors import ConfigError
 from .es import EsConfig, es_init, es_sample, es_update, state_from_dict, state_to_dict
 from .metabbo import (
     BaselineStats,
@@ -45,7 +43,16 @@ from .metabbo import (
     train_instance_schedule,
     upsilon_from_fstars,
 )
-from .utils import array_digest, derive_seed
+from .utils import (
+    array_digest,
+    derive_seed,
+    f8_from_b64,
+    f8_to_b64,
+    json_sha256,
+    read_sealed,
+    write_atomic,
+    write_sealed,
+)
 
 TRAINER_CHECKPOINT_FORMAT = "popscape-trainer"
 TRAINER_CHECKPOINT_VERSION = 1
@@ -84,25 +91,7 @@ class TrainingRunConfig:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "tasks": [t.to_dict() for t in self.tasks],
-            "analyzer": self.analyzer.to_dict(),
-            "outer_variant": self.outer_variant,
-            "outer_population": self.outer_population,
-            "max_generations": self.max_generations,
-            "initial_sigma": self.initial_sigma,
-            "initial_mean_mode": self.initial_mean_mode,
-            "path_lr": self.path_lr,
-            "q_runs": self.q_runs,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainingRunConfig":
-        d = dict(d)
-        d["tasks"] = tuple(TaskSpec.from_dict(t) for t in d["tasks"])
-        d["analyzer"] = AnalyzerConfig.from_dict(d["analyzer"])
-        return cls(**d)
+        return asdict(self)
 
     def digest(self) -> str:
         """Resume-compatibility key.
@@ -113,7 +102,7 @@ class TrainingRunConfig:
         """
         d = self.to_dict()
         d.pop("max_generations")
-        return hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()[:16]
+        return json_sha256(d)[:16]
 
 
 # --- baselines ----------------------------------------------------------------
@@ -132,8 +121,7 @@ def compute_baselines(
     dirty = False
     for task in tasks:
         seed_base = derive_seed(seed, "baseline")
-        spec = hashlib.sha256(json.dumps(task.to_dict(), sort_keys=True).encode())
-        key = f"{task.id}|{spec.hexdigest()[:16]}|q{q_runs}|s{seed_base}"
+        key = f"{task.id}|{json_sha256(task.to_dict())[:16]}|q{q_runs}|s{seed_base}"
         if key in cache:
             out[task.id] = BaselineStats.from_dict(cache[key])
             continue
@@ -142,7 +130,7 @@ def compute_baselines(
         cache[key] = stats.to_dict()
         dirty = True
     if cache_path is not None and dirty:
-        Path(cache_path).write_text(json.dumps(cache, indent=1, sort_keys=True))
+        write_atomic(cache_path, json.dumps(cache, indent=1, sort_keys=True))
     return out
 
 
@@ -163,16 +151,9 @@ def pipeline_score(
 
 
 def _pipeline_worker(payload) -> tuple[int, str, float, int, int]:
-    cand_idx, theta, cfg_dict, task_dict, baseline_dict, q_runs, seed_base = payload
-    result = pipeline_score(
-        np.asarray(theta),
-        AnalyzerConfig.from_dict(cfg_dict),
-        TaskSpec.from_dict(task_dict),
-        BaselineStats.from_dict(baseline_dict),
-        q_runs,
-        seed_base,
-    )
-    return cand_idx, task_dict["id"], result.value, result.fe_meta_train, result.fe_test
+    cand_idx, theta, analyzer_cfg, task, baseline, q_runs, seed_base = payload
+    result = pipeline_score(theta, analyzer_cfg, task, baseline, q_runs, seed_base)
+    return cand_idx, task.id, result.value, result.fe_meta_train, result.fe_test
 
 
 def fitness(
@@ -229,11 +210,11 @@ def _history_header(n: int) -> str:
 
 def _write_history(outdir: Path, records: list, n: int) -> None:
     lines = [_history_header(n)] + [r.csv_row() for r in records]
-    (outdir / "history.csv").write_text("\n".join(lines) + "\n")
+    write_atomic(outdir / "history.csv", "\n".join(lines) + "\n")
     timing = ["generation,seconds"] + [
         f"{r.generation},{r.wall_time:.3f}" for r in records
     ]
-    (outdir / "timings.csv").write_text("\n".join(timing) + "\n")
+    write_atomic(outdir / "timings.csv", "\n".join(timing) + "\n")
 
 
 def _checkpoint_path(outdir: Path, generation: int) -> Path:
@@ -241,54 +222,27 @@ def _checkpoint_path(outdir: Path, generation: int) -> Path:
 
 
 def _save_trainer_checkpoint(outdir, run, state, best, records, generation) -> None:
-    payload = {
-        "format": TRAINER_CHECKPOINT_FORMAT,
-        "version": TRAINER_CHECKPOINT_VERSION,
-        "run_digest": run.digest(),
-        "run": run.to_dict(),
-        "generation": generation,
-        "es_state": state_to_dict(state),
-        "best": {
-            "fitness": best["fitness"],
-            "generation": best["generation"],
-            "digest": best["digest"],
-            "theta_b64": base64.b64encode(
-                np.ascontiguousarray(best["theta"], dtype="<f8").tobytes()
-            ).decode(),
-        },
-        "records": [
-            {
-                "generation": r.generation,
-                "fitness": r.fitness,
-                "gen_best": r.gen_best,
-                "best_so_far": r.best_so_far,
-                "best_digest": r.best_digest,
-                "fe_meta_train": r.fe_meta_train,
-                "fe_test": r.fe_test,
-                "wall_time": r.wall_time,
-            }
-            for r in records
-        ],
-    }
-    canonical = json.dumps(payload, sort_keys=True).encode()
-    payload["sha256"] = hashlib.sha256(canonical).hexdigest()
     path = _checkpoint_path(outdir, generation)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True))
+    stored_best = {k: v for k, v in best.items() if k != "theta"}
+    stored_best["theta_b64"] = f8_to_b64(best["theta"])
+    write_sealed(
+        path,
+        {
+            "format": TRAINER_CHECKPOINT_FORMAT,
+            "version": TRAINER_CHECKPOINT_VERSION,
+            "run_digest": run.digest(),
+            "run": run.to_dict(),
+            "generation": generation,
+            "es_state": state_to_dict(state),
+            "best": stored_best,
+            "records": [asdict(r) for r in records],
+        },
+    )
 
 
 def load_trainer_checkpoint(path) -> dict:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise IntegrityError(f"cannot read checkpoint {path}: {exc}") from exc
-    if payload.get("format") != TRAINER_CHECKPOINT_FORMAT:
-        raise IntegrityError(f"{path} is not a trainer checkpoint")
-    stored = payload.pop("sha256", None)
-    canonical = json.dumps(payload, sort_keys=True).encode()
-    if stored != hashlib.sha256(canonical).hexdigest():
-        raise IntegrityError(f"checkpoint {path} failed its integrity check")
-    return payload
+    return read_sealed(path, TRAINER_CHECKPOINT_FORMAT)
 
 
 def latest_checkpoint(outdir: Path) -> Optional[Path]:
@@ -328,16 +282,12 @@ def train(
                 "checkpoint was produced by a different run configuration"
             )
         state = state_from_dict(payload["es_state"])
-        best = {
-            "fitness": payload["best"]["fitness"],
-            "generation": payload["best"]["generation"],
-            "digest": payload["best"]["digest"],
-            "theta": np.frombuffer(
-                base64.b64decode(payload["best"]["theta_b64"]), dtype="<f8"
-            ).copy(),
-        }
+        best = dict(payload["best"])
+        best["theta"] = f8_from_b64(best.pop("theta_b64"))
         records = [GenerationRecord(**r) for r in payload["records"]]
         start_gen = payload["generation"] + 1
+        # Mends a history write torn after its checkpoint was written.
+        _write_history(outdir, records, run.outer_population)
     else:
         state = es_init(run.es_config())
         best = {"fitness": -np.inf, "generation": -1, "digest": "", "theta": state.mean}
@@ -351,16 +301,9 @@ def train(
         for i in range(n):
             seed_base = derive_seed(run.seed, "fitness", gen, i)
             for task in run.tasks:
+                baseline = baselines[task.id]
                 units.append(
-                    (
-                        i,
-                        candidates[i],
-                        run.analyzer.to_dict(),
-                        task.to_dict(),
-                        baselines[task.id].to_dict(),
-                        run.q_runs,
-                        seed_base,
-                    )
+                    (i, candidates[i], run.analyzer, task, baseline, run.q_runs, seed_base)
                 )
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -414,7 +357,7 @@ def train(
     return TrainResult(
         theta=best["theta"],
         fitness=best["fitness"],
-        generation=len(records),
+        generation=best["generation"],
         history=records,
         outdir=outdir,
     )

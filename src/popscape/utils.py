@@ -1,10 +1,24 @@
-"""Small shared helpers."""
+"""Small shared helpers, and the one codec for everything written to disk.
+
+Files are written atomically: the text goes to a sibling ``*.tmp`` file that
+then replaces the target, so a reader sees the old file or the new one,
+never a torn mix.  Sealed files are canonical JSON plus a ``sha256`` of the
+rest, verified on read.  Float arrays travel as base64 of their
+little-endian float64 bytes, which round-trips every bit.
+"""
 
 from __future__ import annotations
 
+import base64
 import hashlib
+import json
+import os
+from pathlib import Path
+from typing import Optional
 
 import numpy as np
+
+from .errors import IntegrityError
 
 
 def derive_seed(*parts) -> int:
@@ -24,3 +38,51 @@ def array_digest(a: np.ndarray) -> str:
     h = hashlib.blake2b(digest_size=8)
     h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()
+
+
+def json_sha256(obj) -> str:
+    """SHA-256 hex digest of an object's canonical (sorted-key) JSON."""
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def f8_to_b64(a) -> str:
+    """Base64 of an array's little-endian float64 bytes in C order."""
+    data = np.ascontiguousarray(a, dtype="<f8").tobytes()
+    return base64.b64encode(data).decode("ascii")
+
+
+def f8_from_b64(text: str) -> np.ndarray:
+    """The flat, writable float64 array `f8_to_b64` encoded."""
+    return np.frombuffer(base64.b64decode(text), dtype="<f8").astype(float)
+
+
+def write_atomic(path, text: str) -> None:
+    """Write `text` to a sibling ``*.tmp`` file, then rename it over `path`."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
+
+
+def write_sealed(path, payload: dict, indent: Optional[int] = None) -> None:
+    """Write `payload` plus the `sha256` of its canonical JSON, atomically."""
+    sealed = dict(payload, sha256=json_sha256(payload))
+    write_atomic(path, json.dumps(sealed, indent=indent, sort_keys=True))
+
+
+def read_sealed(path, fmt: str) -> dict:
+    """The payload of a `write_sealed` file whose ``format`` is `fmt`.
+
+    Raises IntegrityError if the file cannot be read or parsed, has another
+    format, or fails its checksum.
+    """
+    try:
+        payload = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise IntegrityError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(payload, dict) or payload.get("format") != fmt:
+        raise IntegrityError(f"{path} is not a {fmt} file")
+    stored = payload.pop("sha256", None)
+    if stored != json_sha256(payload):
+        raise IntegrityError(f"{path} failed its integrity check")
+    return payload

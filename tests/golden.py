@@ -1,0 +1,95 @@
+"""Inputs of the on-disk format golden files in ``tests/data``.
+
+``PYTHONPATH=src python -m tests.golden`` rewrites the files from the code
+on the path.  The committed ones were written before the checkpoint, state
+and config writers moved onto the shared codec in ``popscape.utils``, so
+``tests/test_codec.py`` holds every later writer to the same bytes.
+"""
+
+from __future__ import annotations
+
+import json
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from popscape.analyzer import AnalyzerConfig, param_count, save_checkpoint
+from popscape.es import EsConfig, EsVariant, es_init, es_sample, es_update, state_to_dict
+from popscape.metabbo import TaskSpec
+from popscape.problems import NoiseKind, NoiseModel
+from popscape.trainer import TrainingRunConfig, train
+
+DATA = Path(__file__).parent / "data"
+
+ANALYZER = AnalyzerConfig(hidden_dim=4, num_heads=2)
+PROVENANCE = {"generation": 3, "seed": 17, "fitness": -0.25}
+
+# Files a parent-written run directory is compared on after resuming.
+RUN_FILES = ("history.csv", "baselines.json", "analyzer_best.json")
+
+
+def analyzer_theta() -> np.ndarray:
+    """Random weights led by values whose bits a text format could lose."""
+    theta = np.random.default_rng(3).standard_normal(param_count(ANALYZER))
+    nan_payload = np.array([0x7FF8_0000_0000_BEEF], dtype="<u8").view("<f8")[0]
+    theta[:5] = [-0.0, np.inf, -np.inf, nan_payload, 5e-324]
+    return theta
+
+
+def golden_run(max_generations: int = 2) -> TrainingRunConfig:
+    """Two tiny tasks, the PSO one noisy."""
+    tasks = (
+        TaskSpec(
+            id="de_golden", optimizer="de", dimension=3,
+            train_functions=(1,), test_functions=(3,),
+            population_size=6, budget=36, inner_epochs=1, inner_population=4,
+        ),
+        TaskSpec(
+            id="pso_golden", optimizer="pso", dimension=3,
+            train_functions=(2,), test_functions=(20,),
+            population_size=6, budget=36, inner_epochs=1, inner_population=4,
+            noise=NoiseModel(NoiseKind.CAUCHY_ADDITIVE, 0.1),
+        ),
+    )
+    return TrainingRunConfig(
+        tasks=tasks, analyzer=ANALYZER, outer_population=4,
+        max_generations=max_generations, q_runs=2, seed=23,
+    )
+
+
+def es_state_after_two_updates(variant: EsVariant):
+    state = es_init(EsConfig(variant=variant, dim=5, population=6, seed=7))
+    for _ in range(2):
+        X = es_sample(state)
+        es_update(state, X, -np.sum(X * X, axis=1))
+    return state
+
+
+def es_state_text(state) -> str:
+    return json.dumps(state_to_dict(state), indent=1, sort_keys=True)
+
+
+def main(out: Path = DATA) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    save_checkpoint(out / "analyzer.json", ANALYZER, analyzer_theta(), PROVENANCE)
+    for variant in EsVariant:
+        state = es_state_after_two_updates(variant)
+        (out / f"es_state_{variant.value}.json").write_text(es_state_text(state))
+    run_dir = out / "run"
+    shutil.rmtree(run_dir, ignore_errors=True)
+    run_dir.mkdir()
+    with tempfile.TemporaryDirectory() as tmp:
+        train(golden_run(), tmp)
+        shutil.copy(Path(tmp) / "checkpoints" / "gen_0000.json", run_dir)
+        for name in RUN_FILES:
+            shutil.copy(Path(tmp) / name, run_dir)
+    (run_dir / "config.json").write_text(
+        json.dumps(golden_run().to_dict(), indent=1, sort_keys=True)
+    )
+
+
+if __name__ == "__main__":
+    main(Path(sys.argv[1]) if len(sys.argv) > 1 else DATA)

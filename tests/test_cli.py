@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from popscape.cli import (
     EXIT_CONFIG,
     EXIT_INTEGRITY,
     EXIT_OK,
+    EXIT_RUNTIME,
     main,
     parse_observation_file,
     write_observation_file,
@@ -85,6 +88,62 @@ def test_resume_continues_to_identical_history(tmp_path):
     assert (tmp_path / "full" / "history.csv").read_text() == (
         tmp_path / "part" / "history.csv"
     ).read_text()
+
+
+def two_generation_config(tmp_path, name, **task_overrides):
+    cfg = json.loads(train_config(tmp_path).read_text())
+    cfg["outer"]["max_generations"] = 2
+    cfg["tasks"][0].update(task_overrides)
+    path = tmp_path / name
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def test_noisy_task_trains_and_names_the_best_generation(tmp_path, capsys):
+    config = two_generation_config(
+        tmp_path, "noisy.json", noise={"kind": "cauchy_additive", "level": 0.1}
+    )
+    assert main(["train", "--config", str(config), "--run-dir", str(tmp_path / "run")]) == EXIT_OK
+    _, _, provenance = load_checkpoint(tmp_path / "run" / "analyzer_best.json")
+    summary = (
+        f"best fitness {provenance['fitness']:.6f} "
+        f"at generation {provenance['generation']}"
+    )
+    assert summary in capsys.readouterr().out.splitlines()
+
+
+def test_unknown_noise_kind_exit_two(tmp_path, capsys):
+    config = two_generation_config(tmp_path, "bogus.json", noise={"kind": "bogus", "level": 0.1})
+    assert main(["train", "--config", str(config), "--run-dir", str(tmp_path / "run")]) == EXIT_CONFIG
+    assert "'bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("torn", ["gen_0001.json", "history.csv"])
+def test_torn_write_keeps_files_and_resume_completes(tmp_path, monkeypatch, torn):
+    full_cfg = two_generation_config(tmp_path, "full.json")
+    assert main(["train", "--config", str(full_cfg), "--run-dir", str(tmp_path / "full")]) == EXIT_OK
+    run = tmp_path / "part"
+    assert main(["train", "--config", str(train_config(tmp_path)), "--run-dir", str(run)]) == EXIT_OK
+    names = ("checkpoints/gen_0000.json", "history.csv", "baselines.json")
+    kept = {name: (run / name).read_bytes() for name in names}
+
+    real_replace = os.replace
+    gen1 = run / "checkpoints" / "gen_0001.json"
+
+    def replace_failing_in_generation_1(src, dst):
+        # Generation 1 writes gen_0001.json, then history.csv.
+        if Path(dst).name == torn and (torn == gen1.name or gen1.exists()):
+            raise OSError("no space left on device")
+        real_replace(src, dst)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "replace", replace_failing_in_generation_1)
+        rc = main(["train", "--config", str(full_cfg), "--resume", str(run)])
+    assert rc == EXIT_RUNTIME
+    assert gen1.exists() == (torn == "history.csv")
+    assert {name: (run / name).read_bytes() for name in names} == kept
+    assert main(["train", "--config", str(full_cfg), "--resume", str(run)]) == EXIT_OK
+    assert (run / "history.csv").read_text() == (tmp_path / "full" / "history.csv").read_text()
 
 
 def obs_file(tmp_path, count=2):
