@@ -4,6 +4,9 @@
 on the path.  The committed ones were written before the checkpoint, state
 and config writers moved onto the shared codec in ``popscape.utils``, so
 ``tests/test_codec.py`` holds every later writer to the same bytes.
+``desk_episodes.json`` was written before the training-size encoder forward
+and the DE step were rewritten, so ``tests/test_metabbo.py`` holds the
+rewrites to the same episodes, bit for bit.
 """
 
 from __future__ import annotations
@@ -12,13 +15,21 @@ import json
 import shutil
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from popscape.analyzer import AnalyzerConfig, param_count, save_checkpoint
 from popscape.es import EsConfig, EsVariant, es_init, es_sample, es_update, state_to_dict
-from popscape.metabbo import TaskSpec
+from popscape.metabbo import (
+    TaskSpec,
+    make_instance,
+    make_slot_extractor,
+    policy_decode,
+    policy_param_count,
+    run_episode,
+)
 from popscape.problems import NoiseKind, NoiseModel
 from popscape.trainer import TrainingRunConfig, train
 
@@ -60,6 +71,34 @@ def golden_run(max_generations: int = 2) -> TrainingRunConfig:
     )
 
 
+def desk_episode(optimizer: str) -> dict:
+    """One training-size (m=50, d=10) episode under fixed neural weights.
+
+    Every step's record and the final value, as JSON-ready values.
+    """
+    function_id = {"de": 1, "pso": 2}[optimizer]
+    task = TaskSpec(
+        id=f"{optimizer}_golden_desk", optimizer=optimizer, dimension=10,
+        train_functions=(function_id,), test_functions=(),
+        population_size=50, budget=2000,
+    )
+    cfg = AnalyzerConfig()
+    theta = np.random.default_rng(5).normal(0, 0.3, param_count(cfg))
+    extractor = make_slot_extractor("neural", theta, cfg)
+    policy_vec = np.random.default_rng(6).normal(
+        0, 1, policy_param_count(task.template(), extractor.width)
+    )
+    policy = policy_decode(policy_vec, task.template(), extractor.width)
+    problem = make_instance(task, function_id, 31)
+    result = run_episode(task, extractor, policy, problem, seed=37)
+    return {"f_star": result.f_star, "steps": [asdict(s) for s in result.steps]}
+
+
+def desk_episodes_text() -> str:
+    episodes = {kind: desk_episode(kind) for kind in ("de", "pso")}
+    return json.dumps(episodes, indent=1, sort_keys=True)
+
+
 def es_state_after_two_updates(variant: EsVariant):
     state = es_init(EsConfig(variant=variant, dim=5, population=6, seed=7))
     for _ in range(2):
@@ -78,6 +117,7 @@ def main(out: Path = DATA) -> None:
     for variant in EsVariant:
         state = es_state_after_two_updates(variant)
         (out / f"es_state_{variant.value}.json").write_text(es_state_text(state))
+    (out / "desk_episodes.json").write_text(desk_episodes_text())
     run_dir = out / "run"
     shutil.rmtree(run_dir, ignore_errors=True)
     run_dir.mkdir()

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -23,6 +25,8 @@ from popscape.metabbo import (
     z_score,
 )
 from popscape.utils import derive_seed
+
+from .golden import DATA, desk_episode
 
 
 def small_task(**overrides):
@@ -190,6 +194,13 @@ def test_episode_deterministic():
     assert a.f_star == b.f_star
     assert [s.digest for s in a.steps] == [s.digest for s in b.steps]
     assert [s.reward for s in a.steps] == [s.reward for s in b.steps]
+
+
+@pytest.mark.parametrize("optimizer", ["de", "pso"])
+def test_desk_episode_matches_golden(optimizer):
+    """Training-size (m=50, d=10) episodes keep every stored step bit for bit."""
+    stored = json.loads((DATA / "desk_episodes.json").read_text())[optimizer]
+    assert desk_episode(optimizer) == stored
 
 
 def test_feature_width_mismatch_names_width():
