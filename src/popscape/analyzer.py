@@ -25,6 +25,7 @@ can optimize them directly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional
@@ -196,8 +197,12 @@ def embed(normalized: np.ndarray, w_emb: np.ndarray) -> np.ndarray:
     return normalized @ w_emb
 
 
+@functools.lru_cache(maxsize=64)
 def positional_encoding(length: int, h: int) -> np.ndarray:
-    """Sinusoidal encoding: PE[p, 2i] = sin(p / 10000^(2i/h)), PE[p, 2i+1] = cos."""
+    """Sinusoidal encoding: PE[p, 2i] = sin(p / 10000^(2i/h)), PE[p, 2i+1] = cos.
+
+    Cached per (length, h); the array is read-only because callers share it.
+    """
     if h % 2 != 0:
         raise ConfigError("positional encoding requires an even feature width")
     pos = np.arange(length)[:, None]
@@ -205,13 +210,27 @@ def positional_encoding(length: int, h: int) -> np.ndarray:
     pe = np.empty((length, h))
     pe[:, 0::2] = np.sin(pos / rate)
     pe[:, 1::2] = np.cos(pos / rate)
+    pe.flags.writeable = False
     return pe
 
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + LN_EPS) * gain + bias
+    """LayerNorm over the last axis.
+
+    The same float operations, in the same order, as
+    ``(x - x.mean(-1)) / np.sqrt(x.var(-1) + LN_EPS) * gain + bias``, so the
+    result is bit-identical to that expression; the centred values are
+    computed once and the tail runs in place.
+    """
+    h = x.shape[-1]
+    centred = x - np.add.reduce(x, axis=-1, keepdims=True) / h
+    scale = np.add.reduce(centred * centred, axis=-1, keepdims=True) / h
+    scale += LN_EPS
+    np.sqrt(scale, out=scale)
+    centred /= scale
+    centred *= gain
+    centred += bias
+    return centred
 
 
 def self_attention(x: np.ndarray, p: AttnBlockParams, num_heads: int) -> np.ndarray:
@@ -251,9 +270,15 @@ def attn_block(x: np.ndarray, p: AttnBlockParams, num_heads: int = 1) -> np.ndar
 
 
 def _block(x: np.ndarray, p: AttnBlockParams, num_heads: int) -> np.ndarray:
+    # In-place adds give the same bits: IEEE addition commutes.
     g = layer_norm(x + self_attention(x, p, num_heads), p.ln1_gain, p.ln1_bias)
-    hidden = np.maximum(g @ p.ff1_w + p.ff1_b, 0.0)
-    return layer_norm(g + (hidden @ p.ff2_w + p.ff2_b), p.ln2_gain, p.ln2_bias)
+    hidden = g @ p.ff1_w
+    hidden += p.ff1_b
+    np.maximum(hidden, 0.0, out=hidden)
+    ff = hidden @ p.ff2_w
+    ff += p.ff2_b
+    ff += g
+    return layer_norm(ff, p.ln2_gain, p.ln2_bias)
 
 
 def ts_attn_forward(E: np.ndarray, net: PopulationEncoder) -> FeatureSet:

@@ -142,11 +142,8 @@ class MetaPolicy:
     def raw_outputs(self, features: np.ndarray) -> np.ndarray:
         hidden = np.tanh(features @ self.w1 + self.b1)
         logits = hidden @ self.w2 + self.b2
-        squashed = np.where(
-            logits >= 0,
-            1.0 / (1.0 + np.exp(-np.abs(logits))),
-            np.exp(-np.abs(logits)) / (1.0 + np.exp(-np.abs(logits))),
-        )
+        e = np.exp(-np.abs(logits))  # stable sigmoid: no overflow either side
+        squashed = np.where(logits >= 0, 1.0, e) / (1.0 + e)
         lows = np.array([lo for _, lo, _ in self.template.outputs])
         highs = np.array([hi for _, _, hi in self.template.outputs])
         return lows + (highs - lows) * squashed

@@ -114,14 +114,20 @@ def de_step(
         raise ConfigError("differential evolution needs a population of at least 4")
     if cfg.F.shape[0] != m or cfg.Cr.shape[0] != m:
         raise ConfigError("DE config length does not match population size")
-    trials = np.empty_like(state.X)
+    donors = np.empty((m, 3), dtype=np.intp)
+    uniforms = np.empty((m, d))
+    forced = np.empty(m, dtype=np.intp)
     for i in range(m):
-        others = np.delete(np.arange(m), i)
-        r1, r2, r3 = others[rng.permutation(m - 1)[:3]]
-        mutant = state.X[r1] + cfg.F[i] * (state.X[r2] - state.X[r3])
-        cross = rng.random(d) < cfg.Cr[i]
-        cross[rng.integers(d)] = True
-        trials[i] = np.where(cross, mutant, state.X[i])
+        donors[i] = rng.permutation(m - 1)[:3]
+        rng.random(out=uniforms[i])
+        forced[i] = rng.integers(d)
+    # Position p among the indices other than i is index p + (p >= i).
+    donors += donors >= np.arange(m)[:, None]
+    X = state.X
+    mutants = X[donors[:, 0]] + cfg.F[:, None] * (X[donors[:, 1]] - X[donors[:, 2]])
+    cross = uniforms < cfg.Cr[:, None]
+    cross[np.arange(m), forced] = True
+    trials = np.where(cross, mutants, X)
     np.clip(trials, problem.lower, problem.upper, out=trials)
     trial_y = evaluate_batch(problem, trials)
     accept = trial_y < state.y

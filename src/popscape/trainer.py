@@ -49,6 +49,7 @@ from .utils import (
     f8_from_b64,
     f8_to_b64,
     json_sha256,
+    read_json_object,
     read_sealed,
     write_atomic,
     write_sealed,
@@ -113,10 +114,11 @@ def compute_baselines(
 ) -> dict[str, BaselineStats]:
     """Baseline statistics per task, served from the cache when the key
     (digest of the whole task spec, Q, seed base) already has an entry, so a
-    task that keeps its id but changes dimension or budget is recomputed."""
+    task that keeps its id but changes dimension or budget is recomputed.
+    A cache file that does not parse to a JSON object raises IntegrityError."""
     cache: dict[str, dict] = {}
     if cache_path is not None and Path(cache_path).exists():
-        cache = json.loads(Path(cache_path).read_text())
+        cache = read_json_object(cache_path)
     out: dict[str, BaselineStats] = {}
     dirty = False
     for task in tasks:

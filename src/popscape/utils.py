@@ -70,17 +70,29 @@ def write_sealed(path, payload: dict, indent: Optional[int] = None) -> None:
     write_atomic(path, json.dumps(sealed, indent=indent, sort_keys=True))
 
 
+def read_json_object(path) -> dict:
+    """The JSON object stored at `path`.
+
+    Raises IntegrityError naming the path if the file cannot be read or
+    parsed, or holds anything other than an object.
+    """
+    try:
+        payload = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
+        raise IntegrityError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise IntegrityError(f"{path} does not hold a JSON object")
+    return payload
+
+
 def read_sealed(path, fmt: str) -> dict:
     """The payload of a `write_sealed` file whose ``format`` is `fmt`.
 
     Raises IntegrityError if the file cannot be read or parsed, has another
     format, or fails its checksum.
     """
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise IntegrityError(f"cannot read {path}: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != fmt:
+    payload = read_json_object(path)
+    if payload.get("format") != fmt:
         raise IntegrityError(f"{path} is not a {fmt} file")
     stored = payload.pop("sha256", None)
     if stored != json_sha256(payload):

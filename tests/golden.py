@@ -94,11 +94,6 @@ def desk_episode(optimizer: str) -> dict:
     return {"f_star": result.f_star, "steps": [asdict(s) for s in result.steps]}
 
 
-def desk_episodes_text() -> str:
-    episodes = {kind: desk_episode(kind) for kind in ("de", "pso")}
-    return json.dumps(episodes, indent=1, sort_keys=True)
-
-
 def es_state_after_two_updates(variant: EsVariant):
     state = es_init(EsConfig(variant=variant, dim=5, population=6, seed=7))
     for _ in range(2):
@@ -117,7 +112,8 @@ def main(out: Path = DATA) -> None:
     for variant in EsVariant:
         state = es_state_after_two_updates(variant)
         (out / f"es_state_{variant.value}.json").write_text(es_state_text(state))
-    (out / "desk_episodes.json").write_text(desk_episodes_text())
+    episodes = {kind: desk_episode(kind) for kind in ("de", "pso")}
+    (out / "desk_episodes.json").write_text(json.dumps(episodes, indent=1, sort_keys=True))
     run_dir = out / "run"
     shutil.rmtree(run_dir, ignore_errors=True)
     run_dir.mkdir()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from popscape.analyzer import (
+    LN_EPS,
     SCORE_BLOCK_BYTES,
     AnalyzerConfig,
     Observation,
@@ -14,6 +15,7 @@ from popscape.analyzer import (
     decode_params,
     embed,
     encode_params,
+    layer_norm,
     layout,
     load_checkpoint,
     param_count,
@@ -27,6 +29,7 @@ from popscape.errors import CodecError, IntegrityError
 from .reference import (
     ref_attn_block,
     ref_embed,
+    ref_layer_norm,
     ref_positional_encoding,
     ref_ts_attn,
 )
@@ -109,6 +112,45 @@ def test_positional_encoding_values():
     assert np.all(pe[0, 1::2] == 1.0)
     assert pe[1, 0] == pytest.approx(math.sin(1.0), abs=1e-12)
     assert np.max(np.abs(pe - ref_positional_encoding(4, 8))) < 1e-12
+
+
+def test_positional_encoding_is_shared_read_only():
+    first = positional_encoding(7, 16)
+    pe = positional_encoding(7, 16)
+    assert pe is first and not pe.flags.writeable
+    assert np.max(np.abs(pe - ref_positional_encoding(7, 16))) < 1e-12
+    with pytest.raises(ValueError):
+        pe[0, 0] = 1.0
+
+
+# --- layer norm -------------------------------------------------------------------
+
+
+def _layer_norm_inputs():
+    rng = np.random.default_rng(41)
+    base = rng.normal(size=(10, 50, 16))
+    return {
+        "d10_m50": base,
+        "transposed_view": base.transpose(1, 0, 2),
+        "m1000_d10_scaled": rng.normal(size=(1000, 10, 16)) * 1e3,
+        "m7_d3": rng.normal(size=(7, 3, 16)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_layer_norm_inputs()))
+def test_layer_norm_is_bit_identical_to_mean_var_form(name):
+    x = _layer_norm_inputs()[name]
+    rng = np.random.default_rng(42)
+    gain, bias = rng.normal(size=16), rng.normal(size=16)
+    before = x.copy()
+    out = layer_norm(x, gain, bias)
+    assert np.array_equal(x, before)
+    mean_var = (x - x.mean(-1, keepdims=True)) / np.sqrt(
+        x.var(-1, keepdims=True) + LN_EPS
+    ) * gain + bias
+    assert np.array_equal(out, mean_var)
+    rows = x.reshape(-1, 16)
+    assert np.max(np.abs(out.reshape(-1, 16) - ref_layer_norm(rows, gain, bias))) < 1e-12
 
 
 # --- attention block ------------------------------------------------------------

@@ -146,6 +146,18 @@ def test_torn_write_keeps_files_and_resume_completes(tmp_path, monkeypatch, torn
     assert (run / "history.csv").read_text() == (tmp_path / "full" / "history.csv").read_text()
 
 
+@pytest.mark.parametrize("damage", ['{"trunc', "[1, 2]"], ids=["truncated", "not_object"])
+def test_damaged_baseline_cache_exit_four_naming_file(tmp_path, capsys, damage):
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(train_config(tmp_path)), "--run-dir", str(run)]) == EXIT_OK
+    cache = run / "baselines.json"
+    cache.write_text(damage)
+    full_cfg = two_generation_config(tmp_path, "full.json")
+    assert main(["train", "--config", str(full_cfg), "--resume", str(run)]) == EXIT_INTEGRITY
+    assert str(cache) in capsys.readouterr().err
+    assert cache.read_text() == damage
+
+
 def obs_file(tmp_path, count=2):
     rng = np.random.default_rng(8)
     observations = [

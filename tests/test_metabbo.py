@@ -9,7 +9,9 @@ from popscape.errors import ConfigError
 from popscape.metabbo import (
     BaselineStats,
     ElaExtractor,
+    MetaPolicy,
     NeuralExtractor,
+    PolicyTemplate,
     TaskSpec,
     baseline_extractor,
     compute_baseline,
@@ -114,6 +116,26 @@ def test_zero_policy_outputs_midrange():
     policy = policy_decode(np.zeros(policy_param_count(template, 8)), template, 8)
     out = policy.raw_outputs(np.zeros((3, 8)))
     assert np.allclose(out, 0.5)
+
+
+def test_raw_outputs_match_three_exp_sigmoid_bit_for_bit():
+    logits = np.array([
+        -np.inf, -800.0, -30.0, -1.5, -0.0, 0.0, 1e-300, 2.5, 40.0, 800.0, np.inf, np.nan,
+    ])
+    outputs = tuple((f"out{i}", -1.0, 3.0) for i in range(len(logits)))
+    template = PolicyTemplate(feature_mode="population", outputs=outputs, hidden=4)
+    policy = MetaPolicy(
+        template=template, in_width=3, w1=np.ones((3, 4)), b1=np.zeros(4),
+        w2=np.zeros((4, len(logits))), b2=logits,
+    )
+    three_exp = np.where(
+        logits >= 0,
+        1.0 / (1.0 + np.exp(-np.abs(logits))),
+        np.exp(-np.abs(logits)) / (1.0 + np.exp(-np.abs(logits))),
+    )
+    expected = -1.0 + 4.0 * three_exp
+    out = policy.raw_outputs(np.array([[0.5, -2.0, 1.0]]))
+    assert out.view("<u8").tolist() == expected[None, :].view("<u8").tolist()
 
 
 # --- episodes -----------------------------------------------------------------------

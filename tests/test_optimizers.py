@@ -51,6 +51,29 @@ def test_de_matches_scalar_trace(rng):
     assert np.array_equal(state.y, ref_y)
 
 
+@pytest.mark.parametrize("m, d", [(50, 10), (4, 3)], ids=["m50_d10", "m4_d3"])
+def test_de_matches_scalar_trace_over_many_steps(m, d):
+    rng = np.random.default_rng(m * 100 + d)
+    problem = make_problem(ProblemSpec(function_id=8, dimension=d, offset=np.zeros(d), seed=2))
+    ref_problem = make_problem(ProblemSpec(function_id=8, dimension=d, offset=np.zeros(d), seed=2))
+    state = init_state(problem, m, rng)
+    F = rng.uniform(0.0, 0.99, m)
+    Cr = rng.uniform(0.0, 1.0, m)
+    F[0], Cr[1], Cr[2] = 0.0, 0.0, 1.0
+    cfg = DeConfig(F=F, Cr=Cr)
+    ref_rng = copy_rng(rng)
+    ref_X, ref_y = state.X.copy(), state.y.copy()
+    for _ in range(40):
+        _, ref_X, ref_y = ref_de_generation(
+            ref_X, ref_y, F, Cr, problem.lower, problem.upper,
+            lambda T: evaluate_batch(ref_problem, T), ref_rng,
+        )
+        de_step(state, cfg, problem, rng)
+        assert np.array_equal(state.X, ref_X)
+        assert np.array_equal(state.y, ref_y)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_de_zero_factor_full_crossover_copies_donor(rng):
     """F=0, Cr=1: the trial equals the first donor exactly."""
     problem = sphere_problem(d=4, seed=1)
