@@ -17,6 +17,20 @@ Each attention block runs over its batch of slices in chunks that hold at
 most `SCORE_BLOCK_BYTES` of attention scores, so memory stays bounded at
 large m and d without changing a single output bit.
 
+Layer 0's cross-solution stage has a rank-2 path.  Its input is
+``U @ w_emb`` for the 2-channel tensor U = `pie_normalize(obs)`, so its
+queries, keys and values are linear in U: per head the scores are
+``U A U^T`` with one 2x2 matrix A, and the attention output is
+``softmax(scores) U`` times one 2 x h value map.  Both products then run at
+inner width 2 instead of h.  `PopulationEncoder.features` passes U, and the
+path runs only where that stage is chunked anyway: heads * d * m^2 * 8
+bytes of scores above `SCORE_BLOCK_BYTES`, e.g. m >= 324 at d = 10 with one
+head.  Every smaller forward, training-size ones included, is bit-identical
+to the exact path.  Larger ones agree with it to about 1e-15 but not bit
+for bit, so a training config whose layer-0 scores chunk writes a
+`history.csv` that can differ from the exact path's in the last bits.
+`ts_attn_forward(E, net)` without U always takes the exact path.
+
 The forward pass is a pure function of the flat weight vector and the
 observation; there is no randomness and no autodiff.  All weights live in a
 flat vector with a fixed, documented layout so that evolution strategies
@@ -170,7 +184,10 @@ class PopulationEncoder:
     layers: list[EncoderLayer] = field(default_factory=list)
 
     def features(self, obs: Observation) -> FeatureSet:
-        return ts_attn_forward(embed(pie_normalize(obs), self.w_emb), self)
+        # pop() hands the forward the only reference to U, so U is freed
+        # as soon as the forward drops it.
+        held = [pie_normalize(obs)]
+        return ts_attn_forward(embed(held[0], self.w_emb), self, held.pop())
 
 
 def pie_normalize(obs: Observation) -> np.ndarray:
@@ -251,27 +268,48 @@ def self_attention(x: np.ndarray, p: AttnBlockParams, num_heads: int) -> np.ndar
     return out @ p.wo
 
 
-def attn_block(x: np.ndarray, p: AttnBlockParams, num_heads: int = 1) -> np.ndarray:
+def attn_block(
+    x: np.ndarray,
+    p: AttnBlockParams,
+    num_heads: int = 1,
+    *,
+    rank2: Optional[tuple[np.ndarray, np.ndarray]] = None,
+) -> np.ndarray:
     """LN(x + MHSA(x)) -> FF2(ReLU(FF1(.))) -> LN(residual sum).
 
     Leading axes are a batch of independent slices.  When their scores would
     exceed `SCORE_BLOCK_BYTES`, the slices run in chunks through the same
     per-slice arithmetic, so the result is bit-identical to one call.
+
+    ``rank2=(U, w_emb)`` states that ``x == U @ w_emb`` for a 2-channel U of
+    x's leading shape.  Chunked calls then attend through
+    `_rank2_attention`, which equals the exact path to rounding; unchunked
+    calls ignore it.
     """
     *batch, L, h = x.shape
     step = max(1, SCORE_BLOCK_BYTES // (num_heads * L * L * 8))
     if math.prod(batch) <= step:
-        return _block(x, p, num_heads)
+        return _ff_tail(x, self_attention(x, p, num_heads), p)
     flat = x.reshape(-1, L, h)
+    if rank2 is not None:
+        u = rank2[0].reshape(-1, L, 2)
+        a, vo = _rank2_maps(rank2[1], p, num_heads)
     out = np.empty(flat.shape)
     for i in range(0, flat.shape[0], step):
-        out[i : i + step] = _block(flat[i : i + step], p, num_heads)
+        s = slice(i, i + step)
+        if rank2 is None:
+            attn = self_attention(flat[s], p, num_heads)
+        else:
+            attn = _rank2_attention(u[s], a, vo)
+        out[s] = _ff_tail(flat[s], attn, p)
     return out.reshape(x.shape)
 
 
-def _block(x: np.ndarray, p: AttnBlockParams, num_heads: int) -> np.ndarray:
+def _ff_tail(x: np.ndarray, attn: np.ndarray, p: AttnBlockParams) -> np.ndarray:
+    """Everything after attention: LN(x + attn), the feed-forward, its
+    residual and the second LN."""
     # In-place adds give the same bits: IEEE addition commutes.
-    g = layer_norm(x + self_attention(x, p, num_heads), p.ln1_gain, p.ln1_bias)
+    g = layer_norm(x + attn, p.ln1_gain, p.ln1_bias)
     hidden = g @ p.ff1_w
     hidden += p.ff1_b
     np.maximum(hidden, 0.0, out=hidden)
@@ -281,7 +319,41 @@ def _block(x: np.ndarray, p: AttnBlockParams, num_heads: int) -> np.ndarray:
     return layer_norm(ff, p.ln2_gain, p.ln2_bias)
 
 
-def ts_attn_forward(E: np.ndarray, net: PopulationEncoder) -> FeatureSet:
+def _rank2_maps(
+    w_emb: np.ndarray, p: AttnBlockParams, num_heads: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per head, the 2x2 score matrix (w_emb Wq_h)(w_emb Wk_h)^T / sqrt(dk)
+    and the 2 x h value map w_emb Wv_h Wo_h, for inputs x = U @ w_emb."""
+    h = w_emb.shape[1]
+    dk = h // num_heads
+
+    def heads(w):  # (h, h) -> (heads, 2, dk)
+        return (w_emb @ w).reshape(2, num_heads, dk).swapaxes(0, 1)
+
+    a = heads(p.wq) @ heads(p.wk).swapaxes(-1, -2) / np.sqrt(dk)
+    vo = heads(p.wv) @ p.wo.reshape(num_heads, dk, h)
+    return a, vo.reshape(2 * num_heads, h)
+
+
+def _rank2_attention(u: np.ndarray, a: np.ndarray, vo: np.ndarray) -> np.ndarray:
+    """`self_attention` of x = U @ w_emb computed at inner width 2.
+
+    Q, K and V are linear in U, so each head's scores are (U A) U^T and its
+    output is softmax(scores) U times its value map; (n, L, 2) -> (n, L, h).
+    """
+    n, L, _ = u.shape
+    ue = u[:, None]  # (n, 1, L, 2): every head reads the same U
+    scores = (ue @ a) @ ue.swapaxes(-1, -2)  # (n, heads, L, L)
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    pu = scores @ ue
+    pu /= scores.sum(axis=-1, keepdims=True)
+    return pu.swapaxes(1, 2).reshape(n, L, -1) @ vo
+
+
+def ts_attn_forward(
+    E: np.ndarray, net: PopulationEncoder, U: Optional[np.ndarray] = None
+) -> FeatureSet:
     """Two-stage attention over a (d, m, h) embedding, then mean pooling.
 
     Stage one attends across candidates within each dimension slice (no
@@ -289,13 +361,20 @@ def ts_attn_forward(E: np.ndarray, net: PopulationEncoder) -> FeatureSet:
     transposes to (m, d, h), adds the positional encoding over dimensions,
     and attends across dimensions within each candidate.  Stacked layers
     repeat the whole cycle, re-adding the positional encoding each time.
+
+    Given ``U``, the (d, m, 2) tensor with ``E == U @ net.w_emb``, layer 0's
+    cross-solution stage may take the rank-2 path (see `attn_block`); U is
+    released right after that stage.
     """
     d, m, h = E.shape
     heads = net.config.num_heads
     pe = positional_encoding(d, h)
+    rank2 = None if U is None else (U, net.w_emb)
+    del U
     t = E
     for layer in net.layers:
-        t = attn_block(t, layer.cross_solution, heads)  # (d, m, h), attends over m
+        t = attn_block(t, layer.cross_solution, heads, rank2=rank2)  # attends over m
+        rank2 = None  # layer 0 only; this frees U
         t = t.transpose(1, 0, 2) + pe[None, :, :]  # (m, d, h)
         t = attn_block(t, layer.cross_dimension, heads)  # attends over d
         t = t.transpose(1, 0, 2)  # back to (d, m, h)

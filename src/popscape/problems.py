@@ -9,6 +9,7 @@ train/test splits can be expressed as id sets.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -206,11 +207,20 @@ class ProblemSpec:
 
     @property
     def lower(self) -> np.ndarray:
-        return np.full(self.dimension, LOWER_BOUND)
+        return _bound(self.dimension, LOWER_BOUND)
 
     @property
     def upper(self) -> np.ndarray:
-        return np.full(self.dimension, UPPER_BOUND)
+        return _bound(self.dimension, UPPER_BOUND)
+
+
+@functools.lru_cache(maxsize=64)
+def _bound(dimension: int, value: float) -> np.ndarray:
+    """The box bound as a vector, built once per (dimension, value) and
+    read-only because every spec of that dimension shares it."""
+    out = np.full(dimension, value)
+    out.flags.writeable = False
+    return out
 
 
 def sample_offset(

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .analyzer import AnalyzerConfig, decode_params, param_count, save_checkpoint
-from .errors import ConfigError
+from .errors import ConfigError, IntegrityError
 from .es import EsConfig, es_init, es_sample, es_update, state_from_dict, state_to_dict
 from .metabbo import (
     BaselineStats,
@@ -115,7 +115,9 @@ def compute_baselines(
     """Baseline statistics per task, served from the cache when the key
     (digest of the whole task spec, Q, seed base) already has an entry, so a
     task that keeps its id but changes dimension or budget is recomputed.
-    A cache file that does not parse to a JSON object raises IntegrityError."""
+    A cache file that does not parse to a JSON object, or an entry under a
+    task's key that is not what `compute_baseline` wrote for that task,
+    raises IntegrityError."""
     cache: dict[str, dict] = {}
     if cache_path is not None and Path(cache_path).exists():
         cache = read_json_object(cache_path)
@@ -125,7 +127,7 @@ def compute_baselines(
         seed_base = derive_seed(seed, "baseline")
         key = f"{task.id}|{json_sha256(task.to_dict())[:16]}|q{q_runs}|s{seed_base}"
         if key in cache:
-            out[task.id] = BaselineStats.from_dict(cache[key])
+            out[task.id] = _cached_baseline(cache_path, key, cache[key], task, q_runs, seed_base)
             continue
         stats = compute_baseline(task, q_runs, seed_base)
         out[task.id] = stats
@@ -134,6 +136,26 @@ def compute_baselines(
     if cache_path is not None and dirty:
         write_atomic(cache_path, json.dumps(cache, indent=1, sort_keys=True))
     return out
+
+
+def _cached_baseline(
+    path, key: str, entry, task, q_runs: int, seed_base: int
+) -> BaselineStats:
+    try:
+        stats = BaselineStats.from_dict(entry)
+        sound = (
+            (stats.task_id, stats.q_runs, stats.seed_base) == (task.id, q_runs, seed_base)
+            and set(task.test_functions) <= set(stats.stats)
+            and all(
+                len(pair) == 2 and all(type(v) in (int, float) for v in pair)
+                for pair in entry["stats"].values()
+            )
+        )
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError):
+        sound = False
+    if not sound:
+        raise IntegrityError(f"{path}: baseline cache entry {key!r} is damaged")
+    return stats
 
 
 # --- fitness -------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from popscape import analyzer
 from popscape.analyzer import (
     LN_EPS,
     SCORE_BLOCK_BYTES,
@@ -229,6 +230,104 @@ def test_large_forward_holds_bounded_scores():
     finally:
         tracemalloc.stop()
     assert peak < 64e6
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# --- rank-2 first cross-solution stage -------------------------------------------
+
+
+def rank2_case(m, d, heads=1, layers=1):
+    cfg = AnalyzerConfig(num_heads=heads, num_layers=layers)
+    net, rng = random_net(cfg, 31 + heads + layers)
+    return net, random_observation(rng, m=m, d=d)
+
+
+def exact_features(net, obs):
+    return ts_attn_forward(embed(pie_normalize(obs), net.w_emb), net)
+
+
+@pytest.mark.parametrize(
+    "m, d, heads, layers",
+    [(1000, 10, 1, 1), (1000, 10, 2, 1), (1000, 10, 4, 1),
+     (330, 12, 1, 1), (330, 12, 2, 1), (330, 12, 4, 1), (330, 12, 2, 2)],
+)
+def test_rank2_forward_matches_exact_path(monkeypatch, m, d, heads, layers):
+    # layer 0's cross-solution scores chunk at these shapes, so features()
+    # runs that stage (and only that one) through the rank-2 core
+    net, obs = rank2_case(m, d, heads, layers)
+    calls = []
+    core = analyzer._rank2_attention
+    monkeypatch.setattr(analyzer, "_rank2_attention", lambda *a: calls.append(1) or core(*a))
+    fs = net.features(obs)
+    assert len(calls) > 0
+    calls.clear()
+    exact = exact_features(net, obs)
+    assert not calls
+    assert np.max(np.abs(fs.per_candidate - exact.per_candidate)) < 1e-12
+    assert np.max(np.abs(fs.population - exact.population)) < 1e-12
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_rank2_stage_matches_scalar_oracle(heads):
+    net, obs = rank2_case(330, 12, heads)
+    U = pie_normalize(obs)
+    E = embed(U, net.w_emb)
+    p = net.layers[0].cross_solution
+    out = attn_block(E, p, heads, rank2=(U, net.w_emb))
+    for j in (0, E.shape[0] - 1):
+        assert np.max(np.abs(out[j] - ref_attn_block(E[j], p, heads))) < 1e-9
+
+
+def test_rank2_forward_matches_scalar_oracle():
+    net, obs = rank2_case(330, 12, heads=2)
+    ref_indiv, ref_pop = ref_ts_attn(embed(pie_normalize(obs), net.w_emb), net)
+    fs = net.features(obs)
+    assert np.max(np.abs(fs.per_candidate - ref_indiv)) < 1e-9
+    assert np.max(np.abs(fs.population - ref_pop)) < 1e-9
+
+
+def _no_rank2(*args):
+    raise AssertionError("rank-2 core reached")
+
+
+@pytest.mark.parametrize("m, d", [(50, 10), (100, 100), (323, 10)])
+def test_unchunked_forward_never_takes_rank2(monkeypatch, m, d):
+    # (323, 10) is the largest m at d=10 whose layer-0 scores fit one chunk
+    assert d * m * m * 8 <= SCORE_BLOCK_BYTES
+    net, obs = rank2_case(m, d)
+    monkeypatch.setattr(analyzer, "_rank2_attention", _no_rank2)
+    fs = net.features(obs)
+    exact = exact_features(net, obs)
+    assert np.array_equal(fs.per_candidate, exact.per_candidate)
+    assert np.array_equal(fs.population, exact.population)
+
+
+def test_first_chunked_shape_takes_rank2(monkeypatch):
+    assert 10 * 324 * 324 * 8 > SCORE_BLOCK_BYTES
+    net, obs = rank2_case(324, 10)
+    monkeypatch.setattr(analyzer, "_rank2_attention", _no_rank2)
+    with pytest.raises(AssertionError, match="rank-2 core reached"):
+        net.features(obs)
+
+
+def test_rank2_forward_peak_memory_no_higher_than_exact():
+    # U (1.6 MB here) is released after layer 0's cross-solution stage, so
+    # at the peak the rank-2 forward holds only a few more small Python
+    # objects than the exact one
+    net, obs = rank2_case(1000, 100)
+    net.features(obs)  # warm caches and code paths before measuring
+    exact_features(net, obs)
+    rank2 = traced_peak(lambda: net.features(obs))
+    assert rank2 <= traced_peak(lambda: exact_features(net, obs)) + 1024
 
 
 # --- two-stage forward ------------------------------------------------------------

@@ -158,6 +158,37 @@ def test_damaged_baseline_cache_exit_four_naming_file(tmp_path, capsys, damage):
     assert cache.read_text() == damage
 
 
+def _drop_stats(entry):
+    del entry["stats"]
+
+
+def _drop_one_problem(entry):
+    entry["stats"].pop(sorted(entry["stats"])[0])
+
+
+def _text_values(entry):
+    for fid in entry["stats"]:
+        entry["stats"][fid] = ["1.0", "2.0"]
+
+
+@pytest.mark.parametrize("damage", [_drop_stats, _drop_one_problem, _text_values],
+                         ids=["no_stats", "missing_problem", "text_values"])
+def test_damaged_baseline_entry_exit_four_naming_file_and_key(tmp_path, capsys, damage):
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(train_config(tmp_path)), "--run-dir", str(run)]) == EXIT_OK
+    cache = run / "baselines.json"
+    entries = json.loads(cache.read_text())
+    key = sorted(entries)[0]
+    damage(entries[key])
+    cache.write_text(json.dumps(entries))
+    damaged = cache.read_text()
+    full_cfg = two_generation_config(tmp_path, "full.json")
+    assert main(["train", "--config", str(full_cfg), "--resume", str(run)]) == EXIT_INTEGRITY
+    err = capsys.readouterr().err
+    assert str(cache) in err and key in err
+    assert cache.read_text() == damaged
+
+
 def obs_file(tmp_path, count=2):
     rng = np.random.default_rng(8)
     observations = [

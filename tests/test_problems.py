@@ -191,3 +191,14 @@ def test_offset_outside_box_rejected():
 def test_min_dimension_enforced():
     with pytest.raises(ConfigError, match="rosenbrock"):
         make(8, 1)
+
+
+def test_bounds_are_built_once_and_read_only():
+    problem = make(1, 4)
+    lower, upper = problem.lower, problem.upper
+    assert problem.lower is lower and problem.spec.upper is upper
+    assert np.array_equal(lower, np.full(4, -5.0))
+    assert np.array_equal(upper, np.full(4, 5.0))
+    for bound in (lower, upper):
+        with pytest.raises(ValueError):
+            bound[0] = 0.0
