@@ -6,7 +6,9 @@ and config writers moved onto the shared codec in ``popscape.utils``, so
 ``tests/test_codec.py`` holds every later writer to the same bytes.
 ``desk_episodes.json`` was written before the training-size encoder forward
 and the DE step were rewritten, so ``tests/test_metabbo.py`` holds the
-rewrites to the same episodes, bit for bit.
+rewrites to the same episodes, bit for bit.  ``ela_suite.json`` was written
+before the classical suite shared one distance matrix per call, so
+``tests/test_ela.py`` holds every feature to the same bits.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from popscape.analyzer import AnalyzerConfig, param_count, save_checkpoint
+from popscape.ela import full_suite_features, nearest_better_distances, nearest_neighbor_tour
 from popscape.es import EsConfig, EsVariant, es_init, es_sample, es_update, state_to_dict
 from popscape.metabbo import (
     TaskSpec,
@@ -32,6 +35,7 @@ from popscape.metabbo import (
 )
 from popscape.problems import NoiseKind, NoiseModel
 from popscape.trainer import TrainingRunConfig, train
+from popscape.utils import array_digest
 
 DATA = Path(__file__).parent / "data"
 
@@ -94,6 +98,44 @@ def desk_episode(optimizer: str) -> dict:
     return {"f_star": result.f_star, "steps": [asdict(s) for s in result.steps]}
 
 
+# (m, d) of the classical-suite golden samples; each is pinned as drawn and
+# with duplicate points and tied objectives.
+ELA_SHAPES = ((1000, 10), (100, 100), (50, 10), (7, 3))
+
+
+def ela_sample(m: int, d: int, ties: bool) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(1000 * m + d)
+    X = rng.uniform(-5, 5, (m, d))
+    y = np.sum(X * X, axis=1) + rng.normal(0, 1, m)
+    if ties:
+        X[m - 1], X[m - 2] = X[0], X[1]  # two duplicate pairs
+        y[2] = y[3]
+        y[m - 3] = y[1]
+    return X, y
+
+
+def ela_suite(m: int, d: int, ties: bool) -> dict:
+    """Every full-suite feature (as float hex, missing as None), plus digests
+    of the nearest-neighbor and nearest-better distances and the IC tour."""
+    X, y = ela_sample(m, d, ties)
+    feats = full_suite_features(X, y, -5.0, 5.0)
+    nn, nb = nearest_better_distances(X, y)
+    return {
+        "features": {k: None if v is None else float(v).hex() for k, v in feats.items()},
+        "nn": array_digest(nn),
+        "nb": array_digest(nb),
+        "tour": array_digest(nearest_neighbor_tour(X, y)),
+    }
+
+
+def ela_suites() -> dict:
+    return {
+        f"m{m}_d{d}{'_ties' if ties else ''}": ela_suite(m, d, ties)
+        for m, d in ELA_SHAPES
+        for ties in (False, True)
+    }
+
+
 def es_state_after_two_updates(variant: EsVariant):
     state = es_init(EsConfig(variant=variant, dim=5, population=6, seed=7))
     for _ in range(2):
@@ -114,6 +156,7 @@ def main(out: Path = DATA) -> None:
         (out / f"es_state_{variant.value}.json").write_text(es_state_text(state))
     episodes = {kind: desk_episode(kind) for kind in ("de", "pso")}
     (out / "desk_episodes.json").write_text(json.dumps(episodes, indent=1, sort_keys=True))
+    (out / "ela_suite.json").write_text(json.dumps(ela_suites(), indent=1, sort_keys=True))
     run_dir = out / "run"
     shutil.rmtree(run_dir, ignore_errors=True)
     run_dir.mkdir()

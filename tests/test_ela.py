@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from popscape.ela import (
     nearest_neighbor_tour,
 )
 
+from .golden import DATA, ELA_SHAPES, ela_suite
 from .reference import (
     ref_excess_kurtosis,
     ref_mean,
@@ -378,3 +380,18 @@ def test_handcrafted_always_bounded(seed):
     state = handcrafted_state(ctx)
     assert np.all(np.isfinite(state))
     assert np.all(state >= -1.0) and np.all(state <= 1.0)
+
+
+
+# --- golden features ---------------------------------------------------------------
+
+GOLDEN_CASES = [(m, d, ties) for m, d in ELA_SHAPES for ties in (False, True)]
+
+
+@pytest.mark.parametrize(
+    "m, d, ties", GOLDEN_CASES, ids=[f"m{m}_d{d}{'_ties' * t}" for m, d, t in GOLDEN_CASES]
+)
+def test_suite_matches_golden(m, d, ties):
+    """Every classical feature keeps the bits stored in ``ela_suite.json``."""
+    stored = json.loads((DATA / "ela_suite.json").read_text())
+    assert ela_suite(m, d, ties) == stored[f"m{m}_d{d}{'_ties' * ties}"]
