@@ -22,13 +22,18 @@ Layer 0's cross-solution stage has a rank-2 path.  Its input is
 queries, keys and values are linear in U: per head the scores are
 ``U A U^T`` with one 2x2 matrix A, and the attention output is
 ``softmax(scores) U`` times one 2 x h value map.  Both products then run at
-inner width 2 instead of h.  `PopulationEncoder.features` passes U, and the
-path runs only where that stage is chunked anyway: heads * d * m^2 * 8
-bytes of scores above `SCORE_BLOCK_BYTES`, e.g. m >= 324 at d = 10 with one
-head.  Every smaller forward, training-size ones included, is bit-identical
-to the exact path.  Larger ones agree with it to about 1e-15 but not bit
-for bit, so a training config whose layer-0 scores chunk writes a
-`history.csv` that can differ from the exact path's in the last bits.
+inner width 2 instead of h.  The core walks each slice in tiles of query
+rows holding at most `RANK2_TILE_BYTES` of scores, so every pass over a
+tile stays in cache; each tile's row-max shift rides in a second score gemm
+as a third column, and the row sums in the ``softmax U`` gemm.
+`PopulationEncoder.features` passes U, and the path runs only where that
+stage is chunked anyway: heads * d * m^2 * 8 bytes of scores above
+`SCORE_BLOCK_BYTES`, e.g. m >= 324 at d = 10 with one head.  Every smaller
+forward, training-size ones included, is bit-identical to the exact path.
+Larger ones agree with it to about 1e-15 but not bit for bit, so a
+training config whose layer-0 scores chunk writes a `history.csv` that can
+differ from the exact path's: first in the last bits, then by more once a
+flipped comparison changes the rest of an episode.
 `ts_attn_forward(E, net)` without U always takes the exact path.
 
 The forward pass is a pure function of the flat weight vector and the
@@ -54,6 +59,10 @@ LN_EPS = 1e-5
 # Most float64 attention-score bytes (slices x heads x L x L) one
 # `attn_block` chunk holds; a single slice larger than this runs alone.
 SCORE_BLOCK_BYTES = 8 << 20
+
+# Most float64 score bytes one query-row tile of the rank-2 core holds
+# (131 rows at m = 1000), so each tile's passes stay in cache.
+RANK2_TILE_BYTES = 1 << 20
 
 CHECKPOINT_FORMAT = "popscape-analyzer"
 CHECKPOINT_VERSION = 1
@@ -340,15 +349,35 @@ def _rank2_attention(u: np.ndarray, a: np.ndarray, vo: np.ndarray) -> np.ndarray
 
     Q, K and V are linear in U, so each head's scores are (U A) U^T and its
     output is softmax(scores) U times its value map; (n, L, 2) -> (n, L, h).
+    Each (slice, head) runs in tiles of query rows holding at most
+    `RANK2_TILE_BYTES` of scores, all in one buffer.  A tile's scores are
+    computed twice: once to take the row max, then shifted by it inside the
+    same gemm, as ``[W | -max] [U | 1]^T``.  After the ``exp``, one gemm
+    with ``[U | 1]`` gives P U and the row sums together.
     """
     n, L, _ = u.shape
-    ue = u[:, None]  # (n, 1, L, 2): every head reads the same U
-    scores = (ue @ a) @ ue.swapaxes(-1, -2)  # (n, heads, L, L)
-    scores -= scores.max(axis=-1, keepdims=True)
-    np.exp(scores, out=scores)
-    pu = scores @ ue
-    pu /= scores.sum(axis=-1, keepdims=True)
-    return pu.swapaxes(1, 2).reshape(n, L, -1) @ vo
+    heads = a.shape[0]
+    rows = max(1, min(L, RANK2_TILE_BYTES // (L * 8)))
+    scores = np.empty((rows, L))
+    lhs = np.empty((rows, 3))  # [W_t | -row max]
+    keys = np.ones((L, 3))  # [U | 1]
+    pu = np.empty((n, heads, L, 3))  # P U | row sums
+    for i in range(n):
+        keys[:, :2] = u[i]
+        for k in range(heads):
+            w = u[i] @ a[k]  # (L, 2): the queries, as 2-vectors against U
+            for t in range(0, L, rows):
+                r = min(rows, L - t)
+                s, q = scores[:r], lhs[:r]
+                q[:, :2] = w[t : t + r]
+                np.matmul(q[:, :2], keys[:, :2].T, out=s)
+                np.max(s, axis=1, out=q[:, 2])
+                np.negative(q[:, 2], out=q[:, 2])
+                np.matmul(q, keys.T, out=s)
+                np.exp(s, out=s)
+                np.matmul(s, keys, out=pu[i, k, t : t + r])
+    out = pu[..., :2] / pu[..., 2:]
+    return out.swapaxes(1, 2).reshape(n, L, -1) @ vo
 
 
 def ts_attn_forward(
@@ -370,8 +399,8 @@ def ts_attn_forward(
     heads = net.config.num_heads
     pe = positional_encoding(d, h)
     rank2 = None if U is None else (U, net.w_emb)
-    del U
     t = E
+    del U, E  # t holds the only reference; the first stage can free it
     for layer in net.layers:
         t = attn_block(t, layer.cross_solution, heads, rank2=rank2)  # attends over m
         rank2 = None  # layer 0 only; this frees U

@@ -12,6 +12,10 @@ are reported as ``None`` rather than NaN; consumers impute or skip
 explicitly.  All functions are deterministic in (X, y): the information
 content tour is the nearest-neighbor tour from the best sample, not a random
 walk.
+
+The groups that need pairwise distances take the sample's distance matrix
+as an optional keyword ``D``; `ela_features` builds it once and passes it
+to each, and a group called on its own builds its own.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ def _box(lb, ub, d: int) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def fdc_features(X, y, lb=None, ub=None) -> dict[str, Feature]:
+def fdc_features(X, y, lb=None, ub=None, *, D=None) -> dict[str, Feature]:
     """Fitness-distance group: correlation of objectives with distance to the
     best sample, pairwise-distance and objective-gap statistics, and the
     best-to-centroid distance normalized by the box diagonal."""
@@ -71,8 +75,8 @@ def fdc_features(X, y, lb=None, ub=None) -> dict[str, Feature]:
     best = int(np.argmin(y))
     dist_to_best = np.linalg.norm(X - X[best], axis=1)
     iu = np.triu_indices(m, k=1)
-    pair_dist = _pairwise_distances(X)[iu]
-    obj_diff = np.abs(y[:, None] - y[None, :])[iu]
+    pair_dist = (_pairwise_distances(X) if D is None else D)[iu]
+    obj_diff = np.abs(y[iu[0]] - y[iu[1]])
     centroid = X.mean(axis=0)
     return {
         "fdc_correlation": _pearson(y, dist_to_best),
@@ -85,14 +89,15 @@ def fdc_features(X, y, lb=None, ub=None) -> dict[str, Feature]:
 
 
 def dispersion_features(
-    X, y, quantiles: Sequence[float] = DEFAULT_QUANTILES
+    X, y, quantiles: Sequence[float] = DEFAULT_QUANTILES, *, D=None
 ) -> dict[str, Feature]:
     """Ratio and difference of the mean pairwise distance among the best
     ceil(q*m) samples versus the whole sample, per quantile."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     m = X.shape[0]
-    D = _pairwise_distances(X)
+    if D is None:
+        D = _pairwise_distances(X)
     iu = np.triu_indices(m, k=1)
     full_mean = float(D[iu].mean())
     order = np.argsort(y, kind="stable")
@@ -112,11 +117,12 @@ def dispersion_features(
     return out
 
 
-def nearest_neighbor_tour(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+def nearest_neighbor_tour(X: np.ndarray, y: np.ndarray, *, D=None) -> np.ndarray:
     """Deterministic tour: start at the best sample (ties broken by index),
     repeatedly move to the nearest unvisited sample (ties by index)."""
     m = X.shape[0]
-    D = _pairwise_distances(X)
+    if D is None:
+        D = _pairwise_distances(X)
     tour = np.empty(m, dtype=int)
     tour[0] = int(np.argmin(y))
     visited = np.zeros(m, dtype=bool)
@@ -155,13 +161,13 @@ def _ic_partial(symbols: np.ndarray) -> float:
     return changes / symbols.shape[0]
 
 
-def information_content(X, y) -> dict[str, Feature]:
+def information_content(X, y, *, D=None) -> dict[str, Feature]:
     """Smoothness/ruggedness/neutrality statistics of the fitness sequence
     along the nearest-neighbor tour, under an epsilon grid."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     names = ("ic_h_max", "ic_eps_settling", "ic_m0", "ic_eps_half", "ic_neutrality")
-    tour = nearest_neighbor_tour(X, y)
+    tour = nearest_neighbor_tour(X, y, D=D)
     steps = np.linalg.norm(np.diff(X[tour], axis=0), axis=1)
     if np.any(steps == 0):
         return {n: None for n in names}
@@ -195,19 +201,24 @@ def information_content(X, y) -> dict[str, Feature]:
     }
 
 
-def nearest_better_distances(X, y) -> tuple[np.ndarray, np.ndarray]:
+def nearest_better_distances(X, y, *, D=None) -> tuple[np.ndarray, np.ndarray]:
     """Per-candidate nearest-neighbor and nearest-better-neighbor distances.
 
     "Better" means strictly smaller objective, ties broken by index order.
     The entry for the best candidate is NaN in the nearest-better vector.
+    A given ``D`` is left as it was.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     m = X.shape[0]
-    D = _pairwise_distances(X)
+    if D is None:
+        D = _pairwise_distances(X)
+    diagonal = D.diagonal().copy()
     np.fill_diagonal(D, np.inf)
     nn = D.min(axis=1)
+    np.fill_diagonal(D, diagonal)
     idx = np.arange(m)
+    # never true on the diagonal, so D's own zeros stay masked
     better = (y[None, :] < y[:, None]) | ((y[None, :] == y[:, None]) & (idx[None, :] < idx[:, None]))
     masked = np.where(better, D, np.inf)
     nb = masked.min(axis=1)
@@ -215,11 +226,11 @@ def nearest_better_distances(X, y) -> tuple[np.ndarray, np.ndarray]:
     return nn, nb
 
 
-def nbc_features(X, y) -> dict[str, Feature]:
+def nbc_features(X, y, *, D=None) -> dict[str, Feature]:
     """Nearest-better clustering: nb/nn ratio statistics and the correlation
     between nearest-neighbor distance and objective rank."""
     y = np.asarray(y, dtype=float)
-    nn, nb = nearest_better_distances(X, y)
+    nn, nb = nearest_better_distances(X, y, D=D)
     has_better = ~np.isnan(nb)
     out: dict[str, Feature] = {}
     nn_mean = float(nn.mean())
@@ -277,12 +288,15 @@ def distribution_features(y) -> dict[str, Feature]:
 def ela_features(
     X, y, lb=None, ub=None, quantiles: Sequence[float] = DEFAULT_QUANTILES
 ) -> dict[str, Feature]:
-    """The in-run baseline: concatenation of the five cheap groups."""
+    """The in-run baseline: concatenation of the five cheap groups, which
+    share one distance matrix."""
+    X = np.asarray(X, dtype=float)
+    D = _pairwise_distances(X)
     out: dict[str, Feature] = {}
-    out.update(fdc_features(X, y, lb, ub))
-    out.update(dispersion_features(X, y, quantiles))
-    out.update(information_content(X, y))
-    out.update(nbc_features(X, y))
+    out.update(fdc_features(X, y, lb, ub, D=D))
+    out.update(dispersion_features(X, y, quantiles, D=D))
+    out.update(information_content(X, y, D=D))
+    out.update(nbc_features(X, y, D=D))
     out.update(distribution_features(y))
     return out
 
@@ -351,33 +365,35 @@ def meta_model_features(X, y) -> dict[str, Feature]:
     }
 
 
-def _gaussian_discriminant(
-    X_tr: np.ndarray, labels: np.ndarray, X_te: np.ndarray, pooled: bool
-) -> Optional[np.ndarray]:
+def _gaussian_discriminants(
+    X_tr: np.ndarray, labels: np.ndarray, X_te: np.ndarray
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """LDA and QDA predictions for X_te from one set of class statistics;
+    None when a class is empty."""
     d = X_tr.shape[1]
-    classes = (False, True)
     if not (np.any(labels) and np.any(~labels)):
         return None
-    means, covs, priors = {}, {}, {}
+    classes = []  # (mean, covariance, prior) of the False, then the True class
     pooled_cov = np.zeros((d, d))
-    for c in classes:
+    for c in (False, True):
         G = X_tr[labels == c]
-        means[c] = G.mean(axis=0)
         cov = np.cov(G.T, bias=True).reshape(d, d) if G.shape[0] > 1 else np.zeros((d, d))
-        covs[c] = cov
-        priors[c] = G.shape[0] / X_tr.shape[0]
+        classes.append((G.mean(axis=0), cov, G.shape[0] / X_tr.shape[0]))
         pooled_cov += cov * G.shape[0]
     pooled_cov /= X_tr.shape[0]
-    scores = np.empty((X_te.shape[0], 2))
-    for ci, c in enumerate(classes):
-        cov = pooled_cov if pooled else covs[c]
-        cov = cov + np.eye(d) * (1e-8 + 1e-6 * np.trace(cov) / d)
-        diff = X_te - means[c]
-        solved = np.linalg.solve(cov, diff.T).T
-        maha = np.sum(diff * solved, axis=1)
-        sign, logdet = np.linalg.slogdet(cov)
-        scores[:, ci] = -0.5 * maha - 0.5 * logdet + math.log(priors[c])
-    return scores[:, 1] > scores[:, 0]
+    predictions = []
+    for pooled in (True, False):
+        scores = np.empty((X_te.shape[0], 2))
+        for ci, (mean, cov, prior) in enumerate(classes):
+            cov = pooled_cov if pooled else cov
+            cov = cov + np.eye(d) * (1e-8 + 1e-6 * np.trace(cov) / d)
+            diff = X_te - mean
+            solved = np.linalg.solve(cov, diff.T).T
+            maha = np.sum(diff * solved, axis=1)
+            sign, logdet = np.linalg.slogdet(cov)
+            scores[:, ci] = -0.5 * maha - 0.5 * logdet + math.log(prior)
+        predictions.append(scores[:, 1] > scores[:, 0])
+    return tuple(predictions)
 
 
 def level_set_features(
@@ -397,9 +413,9 @@ def level_set_features(
             te = fold_id == f
             if not np.any(te) or np.all(te):
                 continue
-            for kind, pooled in (("lda", True), ("qda", False)):
-                pred = _gaussian_discriminant(X[~te], labels[~te], X[te], pooled)
-                if pred is not None:
+            preds = _gaussian_discriminants(X[~te], labels[~te], X[te])
+            if preds is not None:
+                for kind, pred in zip(("lda", "qda"), preds):
                     rates[kind].append(float(np.mean(pred != labels[te])))
         for kind in ("lda", "qda"):
             name = f"ls_mmce_{kind}_q{q:g}"

@@ -184,10 +184,12 @@ FUNCTION_NAMES = {f.name: f.fid for f in FUNCTIONS.values()}
 
 
 def bbob_split() -> tuple[frozenset[int], frozenset[int]]:
-    """Train/test id split of the 24-function benchmark suite."""
+    """Train/test id split of the 24-function benchmark suite, narrowed to
+    the functions implemented in `FUNCTIONS`."""
+    implemented = frozenset(FUNCTIONS)
     train = frozenset({1, 2, 5, 7, 13, 16, 17, 18, 21, 22, 23, 24})
     test = frozenset({3, 4, 6, 8, 9, 10, 11, 12, 14, 15, 19, 20})
-    return train, test
+    return train & implemented, test & implemented
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from popscape import analyzer
 from popscape.analyzer import (
     LN_EPS,
+    RANK2_TILE_BYTES,
     SCORE_BLOCK_BYTES,
     AnalyzerConfig,
     Observation,
@@ -328,6 +329,54 @@ def test_rank2_forward_peak_memory_no_higher_than_exact():
     exact_features(net, obs)
     rank2 = traced_peak(lambda: net.features(obs))
     assert rank2 <= traced_peak(lambda: exact_features(net, obs)) + 1024
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize(
+    # at m = 330: 1-row tiles, 128-row tiles with a 74-row last one, one tile
+    "tile_bytes", [8, 128 * 330 * 8, 330 * 330 * 8],
+    ids=["one_row", "partial_last", "single"],
+)
+def test_rank2_tiles_match_exact_path(monkeypatch, tile_bytes, heads):
+    net, obs = rank2_case(330, 12, heads)
+    monkeypatch.setattr(analyzer, "RANK2_TILE_BYTES", tile_bytes)
+    fs = net.features(obs)
+    exact = exact_features(net, obs)
+    assert np.max(np.abs(fs.per_candidate - exact.per_candidate)) < 1e-12
+    assert np.max(np.abs(fs.population - exact.population)) < 1e-12
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_rank2_extreme_weights_stay_finite_and_exact(heads):
+    # weights 1000x the usual scale spread each row of scores over 1e8 to
+    # 6e10, so a shift far below a row's true max overflows exp and one far
+    # above it underflows the whole row; y falls as X[:, 0] grows
+    cfg = AnalyzerConfig(num_heads=heads)
+    net, rng = random_net(cfg, 31 + heads, scale=300.0)
+    X = rng.uniform(-5, 5, (330, 12))
+    obs = Observation(X=X, y=-X[:, 0] + 0.01 * rng.normal(size=330), lb=-5, ub=5)
+    fs = net.features(obs)
+    exact = exact_features(net, obs)
+    assert np.all(np.isfinite(fs.per_candidate))
+    assert np.max(np.abs(fs.per_candidate - exact.per_candidate)) < 1e-12
+    assert np.max(np.abs(fs.population - exact.population)) < 1e-12
+
+
+def test_rank2_core_holds_one_tile_of_scores():
+    # one (1000, 1000) slice: 8 MB of scores untiled, 131 rows of them tiled
+    net, obs = rank2_case(1000, 1)
+    u = pie_normalize(obs).reshape(1, 1000, 2)
+    a, vo = analyzer._rank2_maps(net.w_emb, net.layers[0].cross_solution, 1)
+    analyzer._rank2_attention(u, a, vo)
+    assert traced_peak(lambda: analyzer._rank2_attention(u, a, vo)) < 2 * RANK2_TILE_BYTES
+
+
+def test_large_forward_drops_its_embedding():
+    # E (12.8 MB at (1000, 100)) is read only by layer 0's first stage;
+    # holding it to the end of the forward peaks at about 55 MB
+    net, obs = rank2_case(1000, 100)
+    net.features(obs)  # warm caches before measuring
+    assert traced_peak(lambda: net.features(obs)) < 48e6
 
 
 # --- two-stage forward ------------------------------------------------------------

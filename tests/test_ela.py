@@ -1,10 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from popscape import ela
 from popscape.analyzer import Observation
 from popscape.ela import (
     ELA_FEATURE_NAMES,
@@ -25,7 +27,7 @@ from popscape.ela import (
     nearest_neighbor_tour,
 )
 
-from .golden import DATA, ELA_SHAPES, ela_suite
+from .golden import DATA, ELA_SHAPES, ela_sample, ela_suite
 from .reference import (
     ref_excess_kurtosis,
     ref_mean,
@@ -217,6 +219,19 @@ def test_nbc_matches_brute_force_oracle(rng):
     )
 
 
+
+def test_nearest_better_leaves_shared_matrix_unchanged(rng):
+    X = rng.uniform(-5, 5, (12, 3))
+    X[7] = X[2]
+    y = rng.normal(size=12)
+    D = ela._pairwise_distances(X)
+    before = D.copy()
+    nn, nb = nearest_better_distances(X, y, D=D)
+    assert np.array_equal(D, before)
+    own_nn, own_nb = nearest_better_distances(X, y)
+    assert np.array_equal(nn, own_nn)
+    assert np.array_equal(nb, own_nb, equal_nan=True)
+
 # --- distribution ------------------------------------------------------------------
 
 
@@ -395,3 +410,31 @@ def test_suite_matches_golden(m, d, ties):
     """Every classical feature keeps the bits stored in ``ela_suite.json``."""
     stored = json.loads((DATA / "ela_suite.json").read_text())
     assert ela_suite(m, d, ties) == stored[f"m{m}_d{d}{'_ties' * ties}"]
+
+
+# --- one distance matrix per suite call --------------------------------------------
+
+
+@pytest.mark.parametrize("suite", [ela_features, full_suite_features])
+def test_suite_builds_distance_matrix_once(monkeypatch, rng, suite):
+    builds = []
+    build = ela._pairwise_distances
+    monkeypatch.setattr(ela, "_pairwise_distances", lambda X: builds.append(1) or build(X))
+    X = rng.uniform(-5, 5, (40, 4))
+    suite(X, np.sum(X * X, axis=1), -5.0, 5.0)
+    assert len(builds) == 1
+
+
+def test_suite_peak_memory_at_large_sample():
+    # the shared (1000, 1000) distance matrix is 8 MB; objective gaps taken
+    # over the full square instead of the upper triangle push the peak to 36 MB
+    X, y = ela_sample(1000, 10, ties=False)
+    full_suite_features(X, y, -5.0, 5.0)  # warm caches before measuring
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        full_suite_features(X, y, -5.0, 5.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
