@@ -9,6 +9,10 @@ and the DE step were rewritten, so ``tests/test_metabbo.py`` holds the
 rewrites to the same episodes, bit for bit.  ``ela_suite.json`` was written
 before the classical suite shared one distance matrix per call, so
 ``tests/test_ela.py`` holds every feature to the same bits.
+``evaluation.json`` was written before the rollout-scoring loops of
+``metabbo`` and ``trainer`` were merged, so ``tests/test_trainer.py`` and
+``tests/test_analysis.py`` hold the evaluate and analyze workflows to the
+same bits.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from popscape.analyzer import AnalyzerConfig, param_count, save_checkpoint
+from popscape.analysis import exploration_study, pearson_matrix
+from popscape.analyzer import AnalyzerConfig, load_checkpoint, param_count, save_checkpoint
 from popscape.ela import full_suite_features, nearest_better_distances, nearest_neighbor_tour
 from popscape.es import EsConfig, EsVariant, es_init, es_sample, es_update, state_to_dict
 from popscape.metabbo import (
@@ -34,7 +39,7 @@ from popscape.metabbo import (
     run_episode,
 )
 from popscape.problems import NoiseKind, NoiseModel
-from popscape.trainer import TrainingRunConfig, train
+from popscape.trainer import TrainingRunConfig, fine_tune, train, zero_shot
 from popscape.utils import array_digest
 
 DATA = Path(__file__).parent / "data"
@@ -136,6 +141,59 @@ def ela_suites() -> dict:
     }
 
 
+def evaluation_task() -> TaskSpec:
+    """A tiny DE task for the evaluate and analyze workflows."""
+    return TaskSpec(
+        id="de_golden_eval", optimizer="de", dimension=5,
+        train_functions=(1, 2), test_functions=(3, 8),
+        population_size=10, budget=100, inner_epochs=2, inner_population=4,
+    )
+
+
+def _hex(values) -> list:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def report_hex(report) -> dict:
+    """An `EvaluationReport` with every float as float hex."""
+    return {
+        "mode": report.mode,
+        "upsilon": float(report.upsilon).hex(),
+        "per_problem": {str(k): float(v).hex() for k, v in report.per_problem.items()},
+        "z_table": {str(k): _hex(v) for k, v in report.z_table.items()},
+        "trajectory": [[e, float(u).hex(), float(b).hex()] for e, u, b in report.trajectory],
+    }
+
+
+def evaluation_reports() -> dict:
+    """Zero-shot and two-epoch fine-tune reports of the golden run's best
+    encoder on `evaluation_task`."""
+    cfg, theta, _ = load_checkpoint(DATA / "run" / "analyzer_best.json")
+    task = evaluation_task()
+    return {
+        "zero_shot": report_hex(zero_shot(theta, cfg, task, 2, 41)),
+        "fine_tune": report_hex(fine_tune(theta, cfg, task, 2, 41, epochs=2)),
+    }
+
+
+def study_summary() -> dict:
+    """The exploration study's labels, projections and correlation matrix."""
+    cfg, theta, _ = load_checkpoint(DATA / "run" / "analyzer_best.json")
+    study = exploration_study(evaluation_task(), theta, cfg, function_id=3, runs=2, seed=41)
+    matrix = pearson_matrix(study.ela, study.neural)
+    return {
+        "labels": study.labels,
+        "neural_projection": _hex(study.neural_projection),
+        "ela_projection": _hex(study.ela_projection),
+        "correlation": _hex(matrix.entries),
+        "counts": matrix.counts.ravel().tolist(),
+    }
+
+
+def evaluation() -> dict:
+    return {**evaluation_reports(), "study": study_summary()}
+
+
 def es_state_after_two_updates(variant: EsVariant):
     state = es_init(EsConfig(variant=variant, dim=5, population=6, seed=7))
     for _ in range(2):
@@ -158,6 +216,7 @@ def main(out: Path = DATA) -> None:
     (out / "desk_episodes.json").write_text(json.dumps(episodes, indent=1, sort_keys=True))
     (out / "ela_suite.json").write_text(json.dumps(ela_suites(), indent=1, sort_keys=True))
     run_dir = out / "run"
+    (out / "evaluation.json").write_text(json.dumps(evaluation(), indent=1, sort_keys=True))
     shutil.rmtree(run_dir, ignore_errors=True)
     run_dir.mkdir()
     with tempfile.TemporaryDirectory() as tmp:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from popscape.analyzer import AnalyzerConfig, param_count
 from popscape.errors import ConfigError
 from popscape.metabbo import TaskSpec
 
+from .golden import DATA, study_summary
 from .reference import ref_pearson
 
 
@@ -250,6 +252,12 @@ def test_study_counts_and_shapes(rng):
     assert counts == total_steps
     text = point_cloud_csv(study.neural_projection, study.labels)
     assert len(text.splitlines()) == total_steps + 1
+
+
+def test_study_matches_golden():
+    """Labels, both projections and the correlation matrix, bit for bit."""
+    stored = json.loads((DATA / "evaluation.json").read_text())["study"]
+    assert study_summary() == stored
 
 
 def test_study_requires_de_task(rng):

@@ -20,6 +20,8 @@ from popscape.trainer import (
 from popscape import trainer as trainer_module
 from popscape.utils import derive_seed
 
+from .golden import DATA, evaluation_reports
+
 
 def tiny_tasks():
     return (
@@ -254,3 +256,10 @@ def test_fine_tune_best_so_far_non_decreasing(trained_theta):
     assert all(b2 >= b1 for b1, b2 in zip(bests, bests[1:]))
     assert len(ft.trajectory) == 4
     assert ft.upsilon == bests[-1]
+
+
+def test_evaluation_reports_match_golden():
+    """Zero-shot and fine-tune reports, every float bit for bit."""
+    stored = json.loads((DATA / "evaluation.json").read_text())
+    got = evaluation_reports()
+    assert got == {mode: stored[mode] for mode in got}
