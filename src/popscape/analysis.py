@@ -21,13 +21,19 @@ from .ela import (
     ELA_FEATURE_NAMES,
     FULL_SUITE_FEATURE_NAMES,
     RunContext,
-    ela_features,
     full_suite_features,
     handcrafted_state,
     impute_missing,
 )
 from .errors import ConfigError
-from .metabbo import NeuralExtractor, TaskSpec, meta_train, make_instance, run_episode
+from .metabbo import (
+    ElaExtractor,
+    NeuralExtractor,
+    TaskSpec,
+    make_instance,
+    meta_train,
+    run_episode,
+)
 from .utils import derive_seed
 
 EXPLORATION_THRESHOLD = 0.5  # mutation strength above this labels exploration
@@ -193,16 +199,7 @@ def make_bench_extractor(
     if kind == "handcrafted":
 
         def handcrafted_fn(obs: Observation) -> np.ndarray:
-            ctx = RunContext(
-                obs=obs,
-                t=1,
-                horizon=2,
-                best_so_far=float(obs.y.min()),
-                prev_best=float(obs.y.min()),
-                worst_so_far=float(obs.y.max()),
-                steps_since_improvement=0,
-            )
-            return handcrafted_state(ctx)
+            return handcrafted_state(RunContext.lone(obs))
 
         return handcrafted_fn
     raise ConfigError(f"unknown extractor kind {kind!r}; one of {BENCH_EXTRACTORS}")
@@ -353,6 +350,7 @@ def exploration_study(
     if task.optimizer != "de":
         raise ConfigError("the exploration study needs a DE task")
     extractor = NeuralExtractor(decode_params(theta, analyzer_cfg))
+    classical = ElaExtractor()
     trained = meta_train(
         task, extractor, seed=derive_seed(seed, "evaluate", task.id, "metatrain")
     )
@@ -366,11 +364,7 @@ def exploration_study(
         def record(t, obs, ctx, cfg_summary, run_index=r):
             labels.append(label_for_strength(cfg_summary["F_mean"]))
             neural_rows.append(extractor.extract(obs, ctx)[1])
-            ela_rows.append(
-                impute_missing(
-                    ela_features(obs.X, obs.y, obs.lb, obs.ub), ELA_FEATURE_NAMES
-                )
-            )
+            ela_rows.append(classical.extract(obs, ctx)[1])
             traj.append(run_index)
 
         run_episode(task, extractor, trained.policy, problem, ep_seed, on_step=record)

@@ -11,10 +11,12 @@ error, 4 integrity error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 import time
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -47,48 +49,57 @@ OUTPUT_ROOT_ENV = "POPSCAPE_OUT"
 
 # --- config loading and validation ---------------------------------------------
 
-_TASK_SCHEMA = {
-    "id": (str, True),
-    "optimizer": (str, True),
-    "dimension": (int, True),
-    "train_functions": (list, True),
-    "test_functions": (list, True),
-    "population_size": (int, False),
-    "budget": (int, False),
-    "noise": (dict, False),
-    "analyzer_slot": (str, False),
-    "policy_hidden": (int, False),
-    "inner_variant": (str, False),
-    "inner_population": (int, False),
-    "inner_epochs": (int, False),
-    "episodes_per_eval": (int, False),
-}
+# A schema maps each key to (type, required).  The config dataclasses give
+# theirs through `_schema`; a type is a JSON scalar type, ``list``, ``dict``,
+# a ``str`` enum, a dataclass (a nested mapping), ``tuple[X, ...]`` (a list
+# of X) or ``Optional[X]`` (X or null).
 
-_OUTER_SCHEMA = {
-    "variant": (str, False),
-    "population": (int, False),
-    "max_generations": (int, False),
-    "initial_sigma": (float, False),
-    "initial_mean_mode": (str, False),
-    "path_lr": (float, False),
-}
 
+def _schema(cls) -> dict:
+    """The schema of a config dataclass: a field without a default is required."""
+    hints = typing.get_type_hints(cls)
+    return {
+        f.name: (hints[f.name], f.default is f.default_factory is dataclasses.MISSING)
+        for f in dataclasses.fields(cls)
+    }
+
+
+_RUN_SCHEMA = _schema(TrainingRunConfig)
+_TOP_LEVEL = ("tasks", "q_runs", "seed")
+# The ``outer`` mapping holds the remaining scalar fields, named without the
+# ``outer_`` prefix.
+_OUTER_FIELDS = {
+    name.removeprefix("outer_"): name
+    for name in _RUN_SCHEMA
+    if name not in _TOP_LEVEL + ("analyzer",)
+}
+_OUTER_SCHEMA = {key: _RUN_SCHEMA[name] for key, name in _OUTER_FIELDS.items()}
 _TRAIN_SCHEMA = {
-    "seed": (int, False),
-    "q_runs": (int, False),
-    "analyzer": (dict, False),
-    "outer": (dict, False),
-    "tasks": (list, True),
+    **{key: _RUN_SCHEMA[key] for key in _TOP_LEVEL},
+    "analyzer": (typing.Optional[AnalyzerConfig], False),
+    "outer": (typing.Optional[dict], False),
 }
 
-_ANALYZER_SCHEMA = {
-    "hidden_dim": (int, False),
-    "num_heads": (int, False),
-    "num_layers": (int, False),
-    "ff_inner_dim": (int, False),
-}
 
-_NOISE_SCHEMA = {"kind": (str, True), "level": (float, True)}
+def _check_value(value, kind, path: str) -> None:
+    """Raise ConfigError naming ``path`` unless ``value`` is of type ``kind``."""
+    if typing.get_origin(kind) is typing.Union:
+        if value is None:
+            return
+        (kind,) = [k for k in typing.get_args(kind) if k is not type(None)]
+    if dataclasses.is_dataclass(kind):
+        _check_keys(value, _schema(kind), path)
+        return
+    if typing.get_origin(kind) is tuple:
+        _check_value(value, list, path)
+        for i, item in enumerate(value):
+            _check_value(item, typing.get_args(kind)[0], f"{path}[{i}]")
+        return
+    if issubclass(kind, str):  # str itself or a str enum
+        kind = str
+    accepted = (float, int) if kind is float else kind
+    if (isinstance(value, bool) and kind is not bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{path}: expected {kind.__name__}, got {type(value).__name__}")
 
 
 def _check_keys(data: dict, schema: dict, path: str) -> None:
@@ -98,19 +109,10 @@ def _check_keys(data: dict, schema: dict, path: str) -> None:
         if key not in schema:
             raise ConfigError(f"{path}.{key}: unknown field")
     for key, (kind, required) in schema.items():
-        if key not in data:
-            if required:
-                raise ConfigError(f"{path}.{key}: required field missing")
-            continue
-        value = data[key]
-        if value is None and not required:
-            continue
-        if kind is float and isinstance(value, int):
-            continue
-        if not isinstance(value, kind):
-            raise ConfigError(
-                f"{path}.{key}: expected {kind.__name__}, got {type(value).__name__}"
-            )
+        if key in data:
+            _check_value(data[key], kind, f"{path}.{key}")
+        elif required:
+            raise ConfigError(f"{path}.{key}: required field missing")
 
 
 def _read_json(path, what: str):
@@ -125,34 +127,20 @@ def _read_json(path, what: str):
 def load_train_config(path) -> TrainingRunConfig:
     data = _read_json(path, "config")
     _check_keys(data, _TRAIN_SCHEMA, "config")
-    for i, task in enumerate(data.get("tasks", [])):
-        _check_keys(task, _TASK_SCHEMA, f"config.tasks[{i}]")
-        if task.get("noise") is not None:
-            _check_keys(task["noise"], _NOISE_SCHEMA, f"config.tasks[{i}].noise")
-    if "analyzer" in data and data["analyzer"] is not None:
-        _check_keys(data["analyzer"], _ANALYZER_SCHEMA, "config.analyzer")
-    if "outer" in data and data["outer"] is not None:
-        _check_keys(data["outer"], _OUTER_SCHEMA, "config.outer")
     outer = data.get("outer") or {}
+    _check_keys(outer, _OUTER_SCHEMA, "config.outer")
+    given = {key: data[key] for key in ("q_runs", "seed") if key in data}
+    given.update({_OUTER_FIELDS[key]: value for key, value in outer.items()})
     return TrainingRunConfig(
         tasks=tuple(TaskSpec.from_dict(t) for t in data["tasks"]),
         analyzer=AnalyzerConfig.from_dict(data.get("analyzer") or {}),
-        outer_variant=outer.get("variant", "fast_cmaes"),
-        outer_population=outer.get("population", 10),
-        max_generations=outer.get("max_generations", 50),
-        initial_sigma=outer.get("initial_sigma", 0.3),
-        initial_mean_mode=outer.get("initial_mean_mode", "uniform_random"),
-        path_lr=outer.get("path_lr"),
-        q_runs=data.get("q_runs", 5),
-        seed=data.get("seed", 0),
+        **given,
     )
 
 
 def load_task_config(path) -> TaskSpec:
     data = _read_json(path, "task config")
-    _check_keys(data, _TASK_SCHEMA, "task")
-    if data.get("noise") is not None:
-        _check_keys(data["noise"], _NOISE_SCHEMA, "task.noise")
+    _check_keys(data, _schema(TaskSpec), "task")
     return TaskSpec.from_dict(data)
 
 
@@ -307,16 +295,7 @@ def cmd_extract(args) -> int:
         names = tuple(f"nf_{i}" for i in range(config.hidden_dim))
     rows = []
     for obs in observations:
-        ctx = RunContext(
-            obs=obs,
-            t=1,
-            horizon=2,
-            best_so_far=float(obs.y.min()),
-            prev_best=float(obs.y.min()),
-            worst_so_far=float(obs.y.max()),
-            steps_since_improvement=0,
-        )
-        _, pop = extractor.extract(obs, ctx)
+        _, pop = extractor.extract(obs, RunContext.lone(obs))
         rows.append({name: float(v) for name, v in zip(names, pop)})
     Path(args.output).write_text(features_to_csv(rows, names))
     print(f"wrote {len(rows)} feature rows to {args.output}")
@@ -331,7 +310,7 @@ def cmd_bench(args) -> int:
             "cells": (list, True),
             "runs": (int, False),
             "kinds": (list, False),
-            "checkpoint": (str, False),
+            "checkpoint": (typing.Optional[str], False),
             "seed": (int, False),
         },
         "grid",

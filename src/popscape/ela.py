@@ -484,6 +484,12 @@ class RunContext:
     worst_so_far: float
     steps_since_improvement: int
 
+    @classmethod
+    def lone(cls, obs: Observation) -> "RunContext":
+        """A population seen on its own: step 1 of 2, with no history."""
+        best, worst = float(obs.y.min()), float(obs.y.max())
+        return cls(obs, 1, 2, best, best, worst, 0)
+
 
 HANDCRAFTED_NAMES: tuple[str, ...] = (
     "budget_fraction",

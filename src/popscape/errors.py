@@ -5,13 +5,6 @@ class ConfigError(ValueError):
     """A configuration is malformed, incomplete, or names unknown entities."""
 
 
-class BudgetExhaustedError(RuntimeError):
-    """A batch evaluation would exceed the attached evaluation budget.
-
-    The whole batch is rejected: no partial results, no counter change.
-    """
-
-
 class IntegrityError(RuntimeError):
     """A checkpoint or cache file failed its integrity check."""
 

@@ -241,11 +241,6 @@ class TaskSpec:
         return cls(**d)
 
 
-def task_extractor(task: TaskSpec, theta=None, analyzer_cfg=None):
-    """The extractor the task's analyzer slot is configured to run with."""
-    return make_slot_extractor(task.analyzer_slot, theta, analyzer_cfg)
-
-
 def make_instance(task: TaskSpec, function_id: int, instance_seed: int) -> Problem:
     """Problem instance with a derived random offset and noise stream."""
     offset_rng = np.random.Generator(
@@ -397,6 +392,18 @@ def train_instance_schedule(task: TaskSpec, seed_base: int, epoch: int):
     return picks
 
 
+def mean_return(task: TaskSpec, extractor, policy: MetaPolicy, picks) -> tuple[float, int]:
+    """Mean episode return of one policy over scheduled picks, and its FEs."""
+    total = 0.0
+    fe_used = 0
+    for fid, inst_seed, ep_seed in picks:
+        problem = make_instance(task, fid, inst_seed)
+        ep = run_episode(task, extractor, policy, problem, ep_seed)
+        total += episode_return(ep)
+        fe_used += ep.fe_used
+    return total / len(picks), fe_used
+
+
 def meta_train(
     task: TaskSpec,
     extractor,
@@ -430,13 +437,8 @@ def meta_train(
         returns = np.empty(inner_cfg.population)
         for i, vec in enumerate(candidates):
             policy = policy_decode(vec, template, extractor.width)
-            total = 0.0
-            for fid, inst_seed, ep_seed in picks:
-                problem = make_instance(task, fid, inst_seed)
-                ep = run_episode(task, extractor, policy, problem, ep_seed)
-                total += episode_return(ep)
-                fe_used += ep.fe_used
-            returns[i] = total / len(picks)
+            returns[i], fe = mean_return(task, extractor, policy, picks)
+            fe_used += fe
         top = int(np.argmax(returns))
         if returns[top] > best_return:
             best_return = float(returns[top])
@@ -512,15 +514,22 @@ def run_test_episodes(
     return out
 
 
+def train_and_test(
+    task: TaskSpec, extractor, q_runs: int, seed_base: int
+) -> tuple[MetaTrainResult, dict[int, np.ndarray]]:
+    """Meta-train a policy on the extractor's features under the canonical
+    seed, then run the test episodes with it."""
+    trained = meta_train(task, extractor, seed=derive_seed(seed_base, task.id, "metatrain"))
+    return trained, run_test_episodes(task, extractor, trained.policy, q_runs, seed_base)
+
+
 def baseline_extractor() -> HandcraftedExtractor:
     return HandcraftedExtractor()
 
 
 def compute_baseline(task: TaskSpec, q_runs: int, seed_base: int) -> BaselineStats:
     """Meta-train the baseline pipeline once and freeze its test statistics."""
-    extractor = baseline_extractor()
-    trained = meta_train(task, extractor, seed=derive_seed(seed_base, task.id, "metatrain"))
-    fstars = run_test_episodes(task, extractor, trained.policy, q_runs, seed_base)
+    _, fstars = train_and_test(task, baseline_extractor(), q_runs, seed_base)
     stats = {
         fid: (float(np.mean(v)), float(np.std(v))) for fid, v in fstars.items()
     }
@@ -567,8 +576,7 @@ def relative_performance(
         raise ConfigError(
             f"baseline stats for task {task.id} missing problems {missing}"
         )
-    trained = meta_train(task, extractor, seed=derive_seed(seed_base, task.id, "metatrain"))
-    fstars = run_test_episodes(task, extractor, trained.policy, q_runs, seed_base)
+    trained, fstars = train_and_test(task, extractor, q_runs, seed_base)
     value, per_problem, z_table = upsilon_from_fstars(task, baseline, fstars)
     return UpsilonResult(
         value=value,

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BudgetExhaustedError, ConfigError
+from .errors import ConfigError
 
 LOWER_BOUND = -5.0
 UPPER_BOUND = 5.0
@@ -180,9 +180,6 @@ FUNCTIONS: dict[int, FunctionDef] = {
     ]
 }
 
-FUNCTION_NAMES = {f.name: f.fid for f in FUNCTIONS.values()}
-
-
 def bbob_split() -> tuple[frozenset[int], frozenset[int]]:
     """Train/test id split of the 24-function benchmark suite, narrowed to
     the functions implemented in `FUNCTIONS`."""
@@ -264,7 +261,6 @@ class Problem:
     """
 
     spec: ProblemSpec
-    budget: Optional[int] = None
     fe_count: int = 0
     best_so_far: float = math.inf
     _evaluate: Callable[[np.ndarray], np.ndarray] = field(repr=False, default=None)
@@ -291,7 +287,7 @@ class Problem:
         return fdef.base_optimum + self.spec.offset
 
 
-def make_problem(spec: ProblemSpec, budget: Optional[int] = None) -> Problem:
+def make_problem(spec: ProblemSpec) -> Problem:
     """Instantiate the shifted function y = f(x - O) with fresh accounting."""
     fdef = _function_def(spec.function_id)
     if spec.dimension < max(1, fdef.min_dimension):
@@ -306,7 +302,7 @@ def make_problem(spec: ProblemSpec, budget: Optional[int] = None) -> Problem:
     if np.any(np.abs(spec.offset) >= UPPER_BOUND):
         raise ConfigError("offset must lie strictly inside the search box")
 
-    problem = Problem(spec=spec, budget=budget)
+    problem = Problem(spec=spec)
     if fdef.name == "linear_slope":
         sign_rng = np.random.Generator(np.random.PCG64(spec.seed))
         signs = np.where(sign_rng.random(spec.dimension) < 0.5, -1.0, 1.0)
@@ -326,11 +322,6 @@ def evaluate_batch(problem: Problem, X: np.ndarray) -> np.ndarray:
         raise ConfigError(f"candidates have dimension {d}, expected {problem.dimension}")
     if np.any(X < LOWER_BOUND - 1e-12) or np.any(X > UPPER_BOUND + 1e-12):
         raise ValueError("candidates outside the search box")
-    if problem.budget is not None and problem.fe_count + m > problem.budget:
-        raise BudgetExhaustedError(
-            f"batch of {m} would exceed budget {problem.budget} "
-            f"(used {problem.fe_count}); whole batch rejected"
-        )
     y = problem._evaluate(X - problem.spec.offset)
     if problem.spec.noise is not None:
         y = problem.spec.noise.apply(y, problem._rng)
@@ -339,10 +330,3 @@ def evaluate_batch(problem: Problem, X: np.ndarray) -> np.ndarray:
     if best < problem.best_so_far:
         problem.best_so_far = best
     return y
-
-
-def random_population(
-    problem: Problem, m: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Uniform initial population inside the search box."""
-    return rng.uniform(LOWER_BOUND, UPPER_BOUND, size=(m, problem.dimension))

@@ -32,17 +32,17 @@ from .metabbo import (
     TaskSpec,
     UpsilonResult,
     compute_baseline,
-    episode_return,
-    make_instance,
-    meta_train,
+    mean_return,
     policy_encode,
     policy_decode,
     relative_performance,
-    run_episode,
     run_test_episodes,
+    train_and_test,
     train_instance_schedule,
     upsilon_from_fstars,
 )
+# Not called here; perfbench/tracing.py patches these names in this namespace.
+from .metabbo import meta_train, run_episode  # noqa: F401
 from .utils import (
     array_digest,
     derive_seed,
@@ -178,22 +178,6 @@ def _pipeline_worker(payload) -> tuple[int, str, float, int, int]:
     cand_idx, theta, analyzer_cfg, task, baseline, q_runs, seed_base = payload
     result = pipeline_score(theta, analyzer_cfg, task, baseline, q_runs, seed_base)
     return cand_idx, task.id, result.value, result.fe_meta_train, result.fe_test
-
-
-def fitness(
-    theta: np.ndarray,
-    tasks,
-    baselines: dict[str, BaselineStats],
-    q_runs: int,
-    seed_base: int,
-    analyzer_cfg: AnalyzerConfig,
-) -> float:
-    """Mean relative performance over the task space."""
-    values = [
-        pipeline_score(theta, analyzer_cfg, t, baselines[t.id], q_runs, seed_base).value
-        for t in tasks
-    ]
-    return float(np.mean(values))
 
 
 # --- training loop --------------------------------------------------------------
@@ -411,8 +395,7 @@ def zero_shot(
     seed_base = derive_seed(seed, "evaluate")
     if baseline is None:
         baseline = compute_baseline(task, q_runs, derive_seed(seed, "baseline"))
-    extractor = NeuralExtractor(decode_params(theta, analyzer_cfg))
-    ups = relative_performance(extractor, task, baseline, q_runs, seed_base)
+    ups = pipeline_score(theta, analyzer_cfg, task, baseline, q_runs, seed_base)
     return EvaluationReport(
         mode="zero_shot",
         upsilon=ups.value,
@@ -438,17 +421,17 @@ def fine_tune(
     if baseline is None:
         baseline = compute_baseline(task, q_runs, derive_seed(seed, "baseline"))
     extractor0 = NeuralExtractor(decode_params(theta, analyzer_cfg))
-    trained = meta_train(
-        task, extractor0, seed=derive_seed(seed_base, task.id, "metatrain")
-    )
-    fstars0 = run_test_episodes(task, extractor0, trained.policy, q_runs, seed_base)
+    trained, fstars0 = train_and_test(task, extractor0, q_runs, seed_base)
     ups0, per_problem, z_table = upsilon_from_fstars(task, baseline, fstars0)
 
     theta = np.asarray(theta, dtype=float)
-    phi0 = policy_encode(trained.policy)
-    joint0 = np.concatenate([theta, phi0])
+    joint0 = np.concatenate([theta, policy_encode(trained.policy)])
     n_theta = theta.shape[0]
-    template = task.template()
+
+    def decode(joint):
+        ext = NeuralExtractor(decode_params(joint[:n_theta], analyzer_cfg))
+        return ext, policy_decode(joint[n_theta:], task.template(), ext.width)
+
     es_cfg = EsConfig(
         variant="fast_cmaes",
         dim=joint0.shape[0],
@@ -465,18 +448,8 @@ def fine_tune(
         picks = train_instance_schedule(task, ft_seed, epoch)
         returns = np.empty(population)
         for i, joint in enumerate(candidates):
-            ext = NeuralExtractor(decode_params(joint[:n_theta], analyzer_cfg))
-            pol = policy_decode(joint[n_theta:], template, ext.width)
-            total = 0.0
-            for fid, inst_seed, ep_seed in picks:
-                problem = make_instance(task, fid, inst_seed)
-                total += episode_return(run_episode(task, ext, pol, problem, ep_seed))
-            returns[i] = total / len(picks)
-        top = int(np.argmax(returns))
-        ext = NeuralExtractor(
-            decode_params(candidates[top][:n_theta], analyzer_cfg)
-        )
-        pol = policy_decode(candidates[top][n_theta:], template, ext.width)
+            returns[i], _ = mean_return(task, *decode(joint), picks)
+        ext, pol = decode(candidates[int(np.argmax(returns))])
         fstars = run_test_episodes(task, ext, pol, q_runs, seed_base)
         ups_e, pp_e, zt_e = upsilon_from_fstars(task, baseline, fstars)
         if ups_e > best_ups:

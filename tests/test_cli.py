@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 
 from popscape.analyzer import Observation, load_checkpoint
+from popscape.trainer import TrainingRunConfig
 from popscape.cli import (
     EXIT_CONFIG,
     EXIT_INTEGRITY,
     EXIT_OK,
     EXIT_RUNTIME,
+    load_task_config,
+    load_train_config,
     main,
     parse_observation_file,
     write_observation_file,
@@ -371,3 +374,183 @@ def test_analyze_correlation_exports_named_matrix(run_dir, tmp_path):
     assert lines[0].startswith("feature,nf_0,nf_1")
     assert len(lines) == 1 + 25  # in-run feature rows
     assert (outdir / "correlation_counts.csv").exists()
+
+
+# --- config field types -------------------------------------------------------------
+
+GOLDEN_CHECKPOINT = Path(__file__).parent / "data" / "run" / "analyzer_best.json"
+
+
+def full_task() -> dict:
+    """A task config that sets every field."""
+    return {
+        "id": "de_full", "optimizer": "de", "dimension": 4,
+        "train_functions": [1], "test_functions": [3],
+        "population_size": 8, "budget": 80,
+        "noise": {"kind": "gaussian_multiplicative", "level": 0.1},
+        "analyzer_slot": "neural", "policy_hidden": 8, "inner_variant": "sep_cmaes",
+        "inner_population": 4, "inner_epochs": 1, "episodes_per_eval": 1,
+    }
+
+
+def full_train_config() -> dict:
+    """A train config that sets every field."""
+    return {
+        "seed": 5, "q_runs": 2,
+        "analyzer": {"hidden_dim": 4, "num_heads": 2, "num_layers": 1, "ff_inner_dim": 4},
+        "outer": {
+            "variant": "fast_cmaes", "population": 4, "max_generations": 1,
+            "initial_sigma": 0.3, "initial_mean_mode": "uniform_random", "path_lr": 0.5,
+        },
+        "tasks": [full_task()],
+    }
+
+
+def _keys(field) -> tuple:
+    return field if isinstance(field, tuple) else (field,)
+
+
+TASK_NUMBERS = (
+    "dimension", "population_size", "budget", "policy_hidden",
+    "inner_population", "inner_epochs", "episodes_per_eval",
+    ("noise", "level"),
+)
+TASK_OTHERS = (
+    "id", "optimizer", "train_functions", "test_functions",
+    "analyzer_slot", "inner_variant", ("noise", "kind"),
+)
+TASK_REQUIRED = TASK_NUMBERS + TASK_OTHERS
+
+
+def in_task(fields) -> tuple:
+    return tuple(("tasks", 0) + _keys(f) for f in fields)
+
+
+TRAIN_NUMBERS = (
+    "seed", "q_runs",
+    ("analyzer", "hidden_dim"), ("analyzer", "num_heads"), ("analyzer", "num_layers"),
+    ("outer", "population"), ("outer", "max_generations"), ("outer", "initial_sigma"),
+) + in_task(TASK_NUMBERS)
+TRAIN_REQUIRED = TRAIN_NUMBERS + (
+    "tasks", ("outer", "variant"), ("outer", "initial_mean_mode"),
+) + in_task(TASK_OTHERS)
+GRID_REQUIRED = ("cells", "runs", "kinds", "seed")
+INPUTS_REQUIRED = ("checkpoint", "task", "function_id", "runs", "seed")
+
+
+def dotted(root: str, field) -> str:
+    return root + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in _keys(field))
+
+
+def with_value(data: dict, field, value) -> dict:
+    *parents, last = _keys(field)
+    node = data
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return data
+
+
+def run_with_config(tmp_path, command: str, data: dict) -> int:
+    path = tmp_path / f"{command}.json"
+    path.write_text(json.dumps(data))
+    argv = {
+        "train": ["train", "--config", str(path), "--run-dir", str(tmp_path / "run")],
+        "evaluate": [
+            "evaluate", "--checkpoint", str(GOLDEN_CHECKPOINT), "--task", str(path),
+            "--mode", "zero_shot",
+        ],
+        "bench": ["bench", "--grid", str(path), "--output", str(tmp_path / "t.csv")],
+        "analyze": [
+            "analyze", "--kind", "rq3", "--inputs", str(path),
+            "--output-dir", str(tmp_path / "out"),
+        ],
+    }[command]
+    return main(argv)
+
+
+def full_grid() -> dict:
+    return {"cells": [[20, 3]], "runs": 10, "kinds": ["handcrafted"], "checkpoint": None, "seed": 0}
+
+
+def full_inputs(tmp_path) -> dict:
+    task = tmp_path / "task.json"
+    task.write_text(json.dumps(full_task()))
+    return {
+        "checkpoint": str(GOLDEN_CHECKPOINT), "task": str(task),
+        "function_id": 3, "runs": 2, "seed": 1,
+    }
+
+
+CASES = (
+    [("train", "config", f) for f in TRAIN_REQUIRED]
+    + [("evaluate", "task", f) for f in TASK_REQUIRED]
+    + [("bench", "grid", f) for f in GRID_REQUIRED]
+    + [("analyze", "inputs", f) for f in INPUTS_REQUIRED]
+)
+BOOL_CASES = (
+    [("train", "config", f) for f in TRAIN_NUMBERS]
+    + [("evaluate", "task", f) for f in TASK_NUMBERS]
+    + [("bench", "grid", f) for f in ("runs", "seed")]
+    + [("analyze", "inputs", f) for f in ("function_id", "runs", "seed")]
+)
+
+
+def base_config(command: str, tmp_path) -> dict:
+    return {
+        "train": full_train_config,
+        "evaluate": full_task,
+        "bench": full_grid,
+        "analyze": lambda: full_inputs(tmp_path),
+    }[command]()
+
+
+@pytest.mark.parametrize(
+    "command,root,field", CASES, ids=[dotted(root, f) for _, root, f in CASES]
+)
+def test_null_in_required_field_exit_two_naming_path(tmp_path, capsys, command, root, field):
+    data = with_value(base_config(command, tmp_path), field, None)
+    assert run_with_config(tmp_path, command, data) == EXIT_CONFIG
+    assert f"{dotted(root, field)}: expected " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,root,field", BOOL_CASES, ids=[dotted(root, f) for _, root, f in BOOL_CASES]
+)
+def test_bool_for_number_exit_two_naming_path(tmp_path, capsys, command, root, field):
+    data = with_value(base_config(command, tmp_path), field, True)
+    assert run_with_config(tmp_path, command, data) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{dotted(root, field)}: expected " in err and "got bool" in err
+
+
+def test_optional_fields_accept_null(tmp_path):
+    cfg = full_train_config()
+    cfg["outer"]["path_lr"] = None
+    cfg["analyzer"]["ff_inner_dim"] = None
+    cfg["tasks"][0]["noise"] = None
+    path = tmp_path / "optional.json"
+    path.write_text(json.dumps(cfg))
+    run = load_train_config(path)
+    assert run.path_lr is None and run.tasks[0].noise is None
+    assert run.analyzer.ff_inner_dim == run.analyzer.hidden_dim == 4
+    task = tmp_path / "task.json"
+    task.write_text(json.dumps(cfg["tasks"][0]))
+    assert load_task_config(task) == run.tasks[0]
+
+
+def test_null_mappings_and_absent_fields_take_dataclass_defaults(tmp_path):
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps({"analyzer": None, "outer": None, "tasks": [full_task()]}))
+    run = load_train_config(path)
+    assert run == TrainingRunConfig(tasks=run.tasks)
+
+
+def test_full_config_sets_every_field(tmp_path):
+    path = tmp_path / "full.json"
+    path.write_text(json.dumps(full_train_config()))
+    run = load_train_config(path)
+    assert (run.outer_variant, run.outer_population, run.max_generations) == ("fast_cmaes", 4, 1)
+    assert (run.initial_sigma, run.initial_mean_mode, run.path_lr) == (0.3, "uniform_random", 0.5)
+    assert (run.q_runs, run.seed, run.analyzer.num_heads) == (2, 5, 2)
+    assert run.tasks[0].noise.level == 0.1 and run.tasks[0].policy_hidden == 8

@@ -404,11 +404,10 @@ def test_q1_baseline_has_zero_sigma():
 
 
 def test_slot_extractor_factory():
-    from popscape.metabbo import make_slot_extractor, task_extractor
+    from popscape.metabbo import make_slot_extractor
 
     assert make_slot_extractor("ela").width == 25
     assert make_slot_extractor("handcrafted").width == 8
-    assert task_extractor(small_task(analyzer_slot="ela")).width == 25
     cfg = AnalyzerConfig()
     theta = np.zeros(param_count(cfg))
     assert make_slot_extractor("neural", theta, cfg).width == cfg.hidden_dim

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from popscape.errors import BudgetExhaustedError, ConfigError
+from popscape.errors import ConfigError
 from popscape.problems import (
     FUNCTIONS,
     NoiseKind,
@@ -11,7 +11,6 @@ from popscape.problems import (
     bbob_split,
     evaluate_batch,
     make_problem,
-    random_population,
     sample_offset,
 )
 
@@ -57,7 +56,7 @@ def test_fe_accounting_single_point():
 def test_fe_accounting_is_k_times_m(rng):
     problem = make(3, 4)
     for _ in range(5):
-        evaluate_batch(problem, random_population(problem, 7, rng))
+        evaluate_batch(problem, rng.uniform(-5.0, 5.0, (7, problem.dimension)))
     assert problem.fe_count == 35
 
 
@@ -65,28 +64,16 @@ def test_best_so_far_non_increasing(rng):
     problem = make(2, 3)
     best = np.inf
     for _ in range(10):
-        evaluate_batch(problem, random_population(problem, 5, rng))
+        evaluate_batch(problem, rng.uniform(-5.0, 5.0, (5, problem.dimension)))
         assert problem.best_so_far <= best
         best = problem.best_so_far
-
-
-def test_budget_rejects_whole_batch():
-    problem = make_problem(
-        ProblemSpec(function_id=1, dimension=2, offset=np.zeros(2)), budget=5
-    )
-    evaluate_batch(problem, np.zeros((4, 2)))
-    with pytest.raises(BudgetExhaustedError):
-        evaluate_batch(problem, np.zeros((2, 2)))
-    assert problem.fe_count == 4  # rejected batch left no trace
-    evaluate_batch(problem, np.zeros((1, 2)))
-    assert problem.fe_count == 5
 
 
 def test_linear_slope_minimum_at_boundary_corner(rng):
     problem = make(5, 6, seed=11)
     corner = problem.optimum_position()
     corner_value = evaluate_batch(problem, corner[None, :])[0]
-    samples = random_population(problem, 200, rng)
+    samples = rng.uniform(-5.0, 5.0, (200, problem.dimension))
     values = evaluate_batch(problem, samples)
     assert corner_value == pytest.approx(0.0, abs=1e-12)
     assert np.all(values >= corner_value)
@@ -133,7 +120,7 @@ def test_every_function_minimal_at_its_optimum(fid, rng):
     opt = problem.optimum_position()
     assert np.all(np.abs(opt) <= 5.0)
     f_opt = evaluate_batch(problem, opt[None, :])[0]
-    values = evaluate_batch(problem, random_population(problem, 300, rng))
+    values = evaluate_batch(problem, rng.uniform(-5.0, 5.0, (300, problem.dimension)))
     assert f_opt == pytest.approx(0.0, abs=1e-9)
     assert np.all(values >= f_opt - 1e-9)
 

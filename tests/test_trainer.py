@@ -11,7 +11,6 @@ from popscape.trainer import (
     TrainingRunConfig,
     compute_baselines,
     fine_tune,
-    fitness,
     latest_checkpoint,
     load_trainer_checkpoint,
     train,
@@ -54,24 +53,33 @@ def tiny_run(**overrides):
 # --- fitness aggregation ------------------------------------------------------
 
 
-def test_fitness_is_mean_of_task_scores(monkeypatch):
-    values = {"de_tiny": 0.4, "pso_tiny": -0.4}
+def test_train_fitness_is_mean_of_task_scores(tmp_path, monkeypatch):
+    """Each candidate's fitness in the history is the mean of its task
+    scores, taken in task order."""
+    offsets = {"de_tiny": 0.1, "pso_tiny": 0.2, "de_tiny_b": 0.3}
+    scores = {}  # seed base (one per generation and candidate) -> task id -> score
 
     def fake_pipeline(theta, cfg, task, baseline, q, seed_base):
+        value = offsets[task.id] * (1.0 + abs(float(theta[0])))
+        scores.setdefault(seed_base, {})[task.id] = value
         return UpsilonResult(
-            value=values[task.id], per_problem={}, z_table={}, fe_meta_train=0, fe_test=0
+            value=value, per_problem={}, z_table={}, fe_meta_train=0, fe_test=0
         )
 
+    def no_baselines(tasks, *args, **kwargs):
+        return {t.id: None for t in tasks}
+
     monkeypatch.setattr(trainer_module, "pipeline_score", fake_pipeline)
-    run = tiny_run()
-    result = fitness(np.zeros(3), run.tasks, {"de_tiny": None, "pso_tiny": None}, 2, 0, run.analyzer)
-    assert result == pytest.approx(0.0)
-
-    values["pso_tiny"] = 0.4
-    assert fitness(np.zeros(3), run.tasks, {"de_tiny": None, "pso_tiny": None}, 2, 0, run.analyzer) == pytest.approx(0.4)
-
-    single = fitness(np.zeros(3), run.tasks[:1], {"de_tiny": None}, 2, 0, run.analyzer)
-    assert single == pytest.approx(0.4)
+    monkeypatch.setattr(trainer_module, "compute_baselines", no_baselines)
+    tasks = tiny_tasks() + (dataclasses.replace(tiny_tasks()[0], id="de_tiny_b"),)
+    run = tiny_run(tasks=tasks)
+    result = train(run, tmp_path / "run")
+    assert len(result.history) == run.max_generations
+    for record in result.history:
+        assert len(record.fitness) == run.outer_population
+        for i, fit in enumerate(record.fitness):
+            per_task = scores[derive_seed(run.seed, "fitness", record.generation, i)]
+            assert fit == float(np.mean([per_task[t.id] for t in run.tasks]))
 
 
 # --- training loop ---------------------------------------------------------------
