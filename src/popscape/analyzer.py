@@ -24,8 +24,11 @@ queries, keys and values are linear in U: per head the scores are
 ``softmax(scores) U`` times one 2 x h value map.  Both products then run at
 inner width 2 instead of h.  The core walks each slice in tiles of query
 rows holding at most `RANK2_TILE_BYTES` of scores, so every pass over a
-tile stays in cache; each tile's row-max shift rides in a second score gemm
-as a third column, and the row sums in the ``softmax U`` gemm.
+tile stays in cache.  A tile takes one score gemm: each row's shift is its
+largest score against a few of U's extreme points, a lower bound on its
+max found before the tiles, and rides in that gemm as a third column; the
+row sums ride in the ``softmax U`` gemm.  Rows whose ``exp`` overflowed
+(extreme weights) are redone with their exact max.
 `PopulationEncoder.features` passes U, and the path runs only where that
 stage is chunked anyway: heads * d * m^2 * 8 bytes of scores above
 `SCORE_BLOCK_BYTES`, e.g. m >= 324 at d = 10 with one head.  Every smaller
@@ -63,6 +66,13 @@ SCORE_BLOCK_BYTES = 8 << 20
 # Most float64 score bytes one query-row tile of the rank-2 core holds
 # (131 rows at m = 1000), so each tile's passes stay in cache.
 RANK2_TILE_BYTES = 1 << 20
+
+# (2, 16): unit vectors at multiples of 22.5 degrees.  The rank-2 core
+# shifts each query row by its largest score against U's extreme points
+# in these directions.
+_EXTREME_DIRECTIONS = np.stack(
+    [np.cos(np.arange(16) * np.pi / 8), np.sin(np.arange(16) * np.pi / 8)]
+)
 
 CHECKPOINT_FORMAT = "popscape-analyzer"
 CHECKPOINT_VERSION = 1
@@ -350,34 +360,77 @@ def _rank2_attention(u: np.ndarray, a: np.ndarray, vo: np.ndarray) -> np.ndarray
     Q, K and V are linear in U, so each head's scores are (U A) U^T and its
     output is softmax(scores) U times its value map; (n, L, 2) -> (n, L, h).
     Each (slice, head) runs in tiles of query rows holding at most
-    `RANK2_TILE_BYTES` of scores, all in one buffer.  A tile's scores are
-    computed twice: once to take the row max, then shifted by it inside the
-    same gemm, as ``[W | -max] [U | 1]^T``.  After the ``exp``, one gemm
-    with ``[U | 1]`` gives P U and the row sums together.
+    `RANK2_TILE_BYTES` of scores, all in one buffer.
+
+    A query row w is shifted by its largest score against U's extreme points
+    in `_EXTREME_DIRECTIONS`: one of its own scores, so a lower bound on its
+    max, and ``exp`` never underflows a whole row.  The shift rides in the
+    score gemm as ``[W | -shift] [U | 1]^T``; after the ``exp``, one gemm
+    with ``[U | 1]`` gives P U and the row sums together.  Rows whose
+    ``exp`` overflowed have a non-finite sum (with U in [0, 1], as
+    `pie_normalize` gives it, P U is finite wherever the sum is) and are
+    redone by `_exact_rows`.
     """
     n, L, _ = u.shape
     heads = a.shape[0]
     rows = max(1, min(L, RANK2_TILE_BYTES // (L * 8)))
     scores = np.empty((rows, L))
-    lhs = np.empty((rows, 3))  # [W_t | -row max]
+    lhs = np.empty((rows, 3))  # [W_t | -shift]
     keys = np.ones((L, 3))  # [U | 1]
     pu = np.empty((n, heads, L, 3))  # P U | row sums
-    for i in range(n):
-        keys[:, :2] = u[i]
-        for k in range(heads):
-            w = u[i] @ a[k]  # (L, 2): the queries, as 2-vectors against U
-            for t in range(0, L, rows):
-                r = min(rows, L - t)
-                s, q = scores[:r], lhs[:r]
-                q[:, :2] = w[t : t + r]
-                np.matmul(q[:, :2], keys[:, :2].T, out=s)
-                np.max(s, axis=1, out=q[:, 2])
-                np.negative(q[:, 2], out=q[:, 2])
-                np.matmul(q, keys.T, out=s)
-                np.exp(s, out=s)
-                np.matmul(s, keys, out=pu[i, k, t : t + r])
+    # U against the directions, then each head's W against the extremes
+    proj = np.empty((L, _EXTREME_DIRECTIONS.shape[1]))
+    shift = np.empty(L)
+    with np.errstate(over="ignore"):
+        for i in range(n):
+            keys[:, :2] = u[i]
+            np.matmul(u[i], _EXTREME_DIRECTIONS, out=proj)
+            extremes = u[i][np.argmax(proj, axis=0)]
+            for k in range(heads):
+                w = u[i] @ a[k]  # (L, 2): the queries, as 2-vectors against U
+                np.matmul(w, extremes.T, out=proj)
+                np.max(proj, axis=1, out=shift)
+                for t in range(0, L, rows):
+                    r = min(rows, L - t)
+                    q = lhs[:r]
+                    q[:, :2] = w[t : t + r]
+                    np.negative(shift[t : t + r], out=q[:, 2])
+                    _shifted_tile(q, keys, scores[:r], pu[i, k, t : t + r])
+                bad = np.flatnonzero(~np.isfinite(pu[i, k, :, 2]))
+                if bad.size:
+                    _exact_rows(w, keys, bad, pu[i, k], scores, lhs)
     out = pu[..., :2] / pu[..., 2:]
     return out.swapaxes(1, 2).reshape(n, L, -1) @ vo
+
+
+def _shifted_tile(
+    q: np.ndarray, keys: np.ndarray, s: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """``exp([W | -shift] [U | 1]^T) [U | 1]``: P U and the row sums of one
+    tile of query rows, with ``s`` as the scores buffer."""
+    np.matmul(q, keys.T, out=s)
+    np.exp(s, out=s)
+    return np.matmul(s, keys, out=out)
+
+
+def _exact_rows(
+    w: np.ndarray,
+    keys: np.ndarray,
+    rows: np.ndarray,
+    out: np.ndarray,
+    scores: np.ndarray,
+    lhs: np.ndarray,
+) -> None:
+    """Redo the given query rows of one (slice, head) into ``out[rows]``,
+    each shifted by its exact row max, in tiles of the core's buffers."""
+    for t in range(0, rows.size, lhs.shape[0]):
+        idx = rows[t : t + lhs.shape[0]]
+        s, q = scores[: idx.size], lhs[: idx.size]
+        q[:, :2] = w[idx]
+        np.matmul(q[:, :2], keys[:, :2].T, out=s)
+        np.max(s, axis=1, out=q[:, 2])
+        np.negative(q[:, 2], out=q[:, 2])
+        out[idx] = _shifted_tile(q, keys, s)
 
 
 def ts_attn_forward(

@@ -315,6 +315,13 @@ def cmd_bench(args) -> int:
         },
         "grid",
     )
+    for i, cell in enumerate(grid["cells"]):
+        if not (
+            isinstance(cell, list)
+            and len(cell) == 2
+            and all(type(v) is int and v > 0 for v in cell)
+        ):
+            raise ConfigError(f"grid.cells[{i}]: expected two positive ints, got {cell!r}")
     cells = [tuple(c) for c in grid["cells"]]
     theta = cfg = None
     if grid.get("checkpoint"):

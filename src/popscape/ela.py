@@ -39,10 +39,15 @@ DEFAULT_BOUNDS = (-5.0, 5.0)
 
 
 def _pairwise_distances(X: np.ndarray) -> np.ndarray:
+    # sqrt(max(sq_i + sq_j - 2 x_i.x_j, 0)), operation for operation, built
+    # in place in two m x m arrays
     sq = np.sum(X * X, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+    d2 = sq[:, None] + sq[None, :]
+    g = X @ X.T
+    g *= 2.0
+    d2 -= g
     np.maximum(d2, 0.0, out=d2)
-    return np.sqrt(d2)
+    return np.sqrt(d2, out=d2)
 
 
 def _pearson(a: np.ndarray, b: np.ndarray) -> Feature:

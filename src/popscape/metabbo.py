@@ -216,6 +216,11 @@ class TaskSpec:
             raise ConfigError(
                 f"unknown analyzer slot {self.analyzer_slot!r}; one of {ANALYZER_SLOTS}"
             )
+        for name in ("population_size", "episodes_per_eval"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(
+                    f"task {self.id}: {name} must be positive, got {getattr(self, name)}"
+                )
         if not self.train_functions:
             raise ConfigError(f"task {self.id}: empty train set")
         overlap = set(self.train_functions) & set(self.test_functions)

@@ -8,7 +8,8 @@ and config writers moved onto the shared codec in ``popscape.utils``, so
 and the DE step were rewritten, so ``tests/test_metabbo.py`` holds the
 rewrites to the same episodes, bit for bit.  ``ela_suite.json`` was written
 before the classical suite shared one distance matrix per call, so
-``tests/test_ela.py`` holds every feature to the same bits.
+``tests/test_ela.py`` holds every feature to the same bits; both compute the
+suite in a child process with two BLAS threads (`ela_suites_pinned`).
 ``evaluation.json`` was written before the rollout-scoring loops of
 ``metabbo`` and ``trainer`` were merged, so ``tests/test_trainer.py`` and
 ``tests/test_analysis.py`` hold the evaluate and analyze workflows to the
@@ -18,7 +19,9 @@ same bits.
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
 import sys
 import tempfile
 from dataclasses import asdict
@@ -141,6 +144,30 @@ def ela_suites() -> dict:
     }
 
 
+# BLAS threads `ela_suite.json` was recorded under.  Its (100, 100) meta-model
+# and PCA features come out in other last bits on one OpenBLAS thread.
+ELA_BLAS_THREADS = "2"
+
+
+def ela_suites_pinned() -> dict:
+    """`ela_suites`, computed in a fresh process whose BLAS runs on
+    `ELA_BLAS_THREADS` threads: the count is fixed when BLAS loads."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env.update(
+        (name, ELA_BLAS_THREADS)
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    )
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), str(root), env.get("PYTHONPATH")])
+    )
+    code = "import json; from tests.golden import ela_suites; print(json.dumps(ela_suites()))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=root, capture_output=True, text=True, check=True
+    )
+    return json.loads(done.stdout)
+
+
 def evaluation_task() -> TaskSpec:
     """A tiny DE task for the evaluate and analyze workflows."""
     return TaskSpec(
@@ -214,7 +241,7 @@ def main(out: Path = DATA) -> None:
         (out / f"es_state_{variant.value}.json").write_text(es_state_text(state))
     episodes = {kind: desk_episode(kind) for kind in ("de", "pso")}
     (out / "desk_episodes.json").write_text(json.dumps(episodes, indent=1, sort_keys=True))
-    (out / "ela_suite.json").write_text(json.dumps(ela_suites(), indent=1, sort_keys=True))
+    (out / "ela_suite.json").write_text(json.dumps(ela_suites_pinned(), indent=1, sort_keys=True))
     run_dir = out / "run"
     (out / "evaluation.json").write_text(json.dumps(evaluation(), indent=1, sort_keys=True))
     shutil.rmtree(run_dir, ignore_errors=True)

@@ -362,6 +362,99 @@ def test_rank2_extreme_weights_stay_finite_and_exact(heads):
     assert np.max(np.abs(fs.population - exact.population)) < 1e-12
 
 
+def _no_fallback(*args):
+    raise AssertionError("exact-max fallback reached")
+
+
+@pytest.mark.parametrize(
+    "m, d, heads", [(1000, 10, 1), (1000, 10, 4), (330, 12, 2), (324, 10, 1)]
+)
+def test_rank2_normal_weights_never_fall_back(monkeypatch, m, d, heads):
+    # the extreme-point shift sits close enough to each row's max that exp
+    # overflows nowhere at the usual weight scale
+    net, obs = rank2_case(m, d, heads)
+    monkeypatch.setattr(analyzer, "_exact_rows", _no_fallback)
+    net.features(obs)
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_rank2_extreme_weights_redo_only_nonfinite_rows(monkeypatch, heads):
+    # the weights and observation of test_rank2_extreme_weights_stay_finite_and_exact
+    net, rng = random_net(AnalyzerConfig(num_heads=heads), 31 + heads, scale=300.0)
+    X = rng.uniform(-5, 5, (330, 12))
+    obs = Observation(X=X, y=-X[:, 0] + 0.01 * rng.normal(size=330), lb=-5, ub=5)
+    redone = []
+    exact_rows = analyzer._exact_rows
+
+    def spy(w, keys, rows, out, scores, lhs):
+        # every row handed over has a non-finite sum, and no other row has
+        assert not np.isfinite(out[rows, 2]).any()
+        assert np.count_nonzero(~np.isfinite(out[:, 2])) == rows.size
+        exact_rows(w, keys, rows, out, scores, lhs)
+        assert np.all(np.isfinite(out))
+        redone.append(rows.size)
+
+    monkeypatch.setattr(analyzer, "_exact_rows", spy)
+    fs = net.features(obs)
+    assert 0 < sum(redone) < 330 * 12 * heads
+    assert np.all(np.isfinite(fs.per_candidate))
+
+
+def degenerate_observation(kind, rng):
+    """(330, 12) populations whose every 2-channel slice U is degenerate:
+    one repeated point, or points on a line."""
+    m, d = 330, 12
+    if kind == "all_equal":
+        X, y = np.tile(rng.uniform(-5, 5, d), (m, 1)), np.ones(m)
+    else:  # collinear: positions and objective affine in one parameter
+        t = rng.uniform(0, 1, m)
+        X, y = -5 + np.outer(t, rng.uniform(1, 10, d)), 2 * t - 1
+    return Observation(X=X, y=y, lb=-5, ub=5)
+
+
+RANK2_SWEEP_OBSERVATIONS = ("random", "all_equal", "collinear", "m324_d10")
+
+
+def sweep_case(kind, scale):
+    net, rng = random_net(AnalyzerConfig(num_heads=2), 41, scale=scale)
+    if kind == "random":
+        return net, random_observation(rng, m=330, d=12)
+    if kind == "m324_d10":  # the smallest chunked shape at d = 10
+        return net, random_observation(rng, m=324, d=10)
+    return net, degenerate_observation(kind, rng)
+
+
+def relative_gap(out, exact):
+    """Largest gap over the features' magnitude (at least 1): the layer-norm
+    gains scale the features, and their rounding, with the weights."""
+    return np.max(np.abs(out - exact)) / max(1.0, np.max(np.abs(exact)))
+
+
+@pytest.mark.parametrize("tile_rows", [1, 128, None], ids=["one_row", "128_rows", "single"])
+@pytest.mark.parametrize("scale", [1e-3, 1e-1, 1e1, 1e3])
+@pytest.mark.parametrize("kind", RANK2_SWEEP_OBSERVATIONS)
+def test_rank2_forward_matches_exact_path_across_scales(monkeypatch, kind, scale, tile_rows):
+    net, obs = sweep_case(kind, scale)
+    m = obs.X.shape[0]
+    monkeypatch.setattr(analyzer, "RANK2_TILE_BYTES", (tile_rows or m) * m * 8)
+    fs = net.features(obs)
+    exact = exact_features(net, obs)
+    assert np.all(np.isfinite(fs.per_candidate))
+    assert relative_gap(fs.per_candidate, exact.per_candidate) < 1e-12
+    assert relative_gap(fs.population, exact.population) < 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("kind", RANK2_SWEEP_OBSERVATIONS)
+def test_rank2_stage_matches_scalar_oracle_across_scales(kind, scale):
+    net, obs = sweep_case(kind, scale)
+    U = pie_normalize(obs)
+    E = embed(U, net.w_emb)
+    p = net.layers[0].cross_solution
+    out = attn_block(E, p, 2, rank2=(U, net.w_emb))
+    assert relative_gap(out[0], ref_attn_block(E[0], p, 2)) < 1e-9
+
+
 def test_rank2_core_holds_one_tile_of_scores():
     # one (1000, 1000) slice: 8 MB of scores untiled, 131 rows of them tiled
     net, obs = rank2_case(1000, 1)

@@ -121,6 +121,17 @@ def test_unknown_noise_kind_exit_two(tmp_path, capsys):
     assert "'bogus'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value", [("population_size", 0), ("population_size", -8), ("episodes_per_eval", 0)]
+)
+def test_nonpositive_task_size_exit_two_naming_field(tmp_path, capsys, field, value):
+    # these crashed with exit 3 (an empty reduction, a negative array size,
+    # a division by zero) before `TaskSpec` rejected them
+    config = two_generation_config(tmp_path, "sizes.json", **{field: value})
+    assert main(["train", "--config", str(config), "--run-dir", str(tmp_path / "run")]) == EXIT_CONFIG
+    assert f"task de_cli: {field} must be positive, got {value}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("torn", ["gen_0001.json", "history.csv"])
 def test_torn_write_keeps_files_and_resume_completes(tmp_path, monkeypatch, torn):
     full_cfg = two_generation_config(tmp_path, "full.json")
@@ -332,6 +343,16 @@ def test_bench_grid_table(tmp_path):
     assert len(lines) == 1 + 3  # one row per extractor
     detail = (tmp_path / "timings_detail.csv").read_text().splitlines()
     assert len(detail) == 1 + 3 * 2  # header + 3 extractors x 2 cells
+
+
+@pytest.mark.parametrize("cell", [[20], ["a", 3]], ids=["one_value", "not_int"])
+def test_bench_bad_cell_exit_two_naming_cell(tmp_path, capsys, cell):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"cells": [[20, 3], cell], "runs": 10}))
+    out = tmp_path / "timings.csv"
+    assert main(["bench", "--grid", str(grid), "--output", str(out)]) == EXIT_CONFIG
+    assert "grid.cells[1]: expected two positive ints" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_rq3_exports_point_clouds(run_dir, tmp_path):

@@ -27,7 +27,7 @@ from popscape.ela import (
     nearest_neighbor_tour,
 )
 
-from .golden import DATA, ELA_SHAPES, ela_sample, ela_suite
+from .golden import DATA, ELA_SHAPES, ela_sample, ela_suites_pinned
 from .reference import (
     ref_excess_kurtosis,
     ref_mean,
@@ -403,13 +403,20 @@ def test_handcrafted_always_bounded(seed):
 GOLDEN_CASES = [(m, d, ties) for m, d in ELA_SHAPES for ties in (False, True)]
 
 
+@pytest.fixture(scope="module")
+def pinned_suites():
+    # the file's bits hold on the BLAS thread count it was recorded under
+    return ela_suites_pinned()
+
+
 @pytest.mark.parametrize(
     "m, d, ties", GOLDEN_CASES, ids=[f"m{m}_d{d}{'_ties' * t}" for m, d, t in GOLDEN_CASES]
 )
-def test_suite_matches_golden(m, d, ties):
+def test_suite_matches_golden(pinned_suites, m, d, ties):
     """Every classical feature keeps the bits stored in ``ela_suite.json``."""
     stored = json.loads((DATA / "ela_suite.json").read_text())
-    assert ela_suite(m, d, ties) == stored[f"m{m}_d{d}{'_ties' * ties}"]
+    key = f"m{m}_d{d}{'_ties' * ties}"
+    assert pinned_suites[key] == stored[key]
 
 
 # --- one distance matrix per suite call --------------------------------------------
@@ -438,3 +445,22 @@ def test_suite_peak_memory_at_large_sample():
     finally:
         tracemalloc.stop()
     assert peak < 32e6
+
+
+# --- the distance build ------------------------------------------------------------
+
+
+def one_line_distances(X):
+    """The distance build as one expression, as it was before it ran in place."""
+    sq = np.sum(X * X, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+    np.maximum(d2, 0.0, out=d2)
+    return np.sqrt(d2)
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["plain", "duplicates"])
+@pytest.mark.parametrize("m, d", [(1000, 10), (100, 100), (50, 10)])
+def test_pairwise_distances_match_one_line_build(m, d, ties):
+    X, _ = ela_sample(m, d, ties)
+    assert np.array_equal(ela._pairwise_distances(X), one_line_distances(X))
+
