@@ -55,7 +55,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CodecError, ConfigError, IntegrityError
-from .utils import f8_from_b64, f8_to_b64, read_sealed, write_sealed
+from .utils import f8_from_b64, f8_to_b64, layout_size, read_sealed, unpack, write_sealed
 
 LN_EPS = 1e-5
 
@@ -159,7 +159,7 @@ class ParamVector:
         object.__setattr__(
             self, "values", np.asarray(self.values, dtype=float).reshape(-1)
         )
-        expected = sum(int(np.prod(s)) for _, s in self.layout)
+        expected = layout_size(self.layout)
         if self.values.shape[0] != expected:
             raise CodecError(
                 f"vector length {self.values.shape[0]} does not match layout "
@@ -467,6 +467,7 @@ def ts_attn_forward(
 
 # --- flat parameter codec -------------------------------------------------
 
+_STAGES = ("cross_solution", "cross_dimension")
 _BLOCK_TENSORS = (
     ("wq", lambda h, f: (h, h)),
     ("wk", lambda h, f: (h, h)),
@@ -490,7 +491,7 @@ def layout(config: AnalyzerConfig) -> tuple[tuple[str, tuple[int, ...]], ...]:
     h, f = config.hidden_dim, config.ff_inner_dim
     entries: list[tuple[str, tuple[int, ...]]] = [("w_emb", (2, h))]
     for i in range(config.num_layers):
-        for stage in ("cross_solution", "cross_dimension"):
+        for stage in _STAGES:
             for name, shape_fn in _BLOCK_TENSORS:
                 entries.append((f"layer{i}.{stage}.{name}", shape_fn(h, f)))
     return tuple(entries)
@@ -498,15 +499,22 @@ def layout(config: AnalyzerConfig) -> tuple[tuple[str, tuple[int, ...]], ...]:
 
 def param_count(config: AnalyzerConfig) -> int:
     """Total learnable parameters; 2h + 2l(6h^2 + 6h) when ff_inner_dim == h."""
-    return sum(int(np.prod(s)) for _, s in layout(config))
+    return layout_size(layout(config))
+
+
+def _tensor(net: PopulationEncoder, name: str) -> np.ndarray:
+    """The network's tensor under a `layout` name."""
+    if name == "w_emb":
+        return net.w_emb
+    layer, stage, tensor = name.split(".")
+    return getattr(getattr(net.layers[int(layer.removeprefix("layer"))], stage), tensor)
 
 
 def encode_params(net: PopulationEncoder) -> ParamVector:
     lay = layout(net.config)
     parts = []
-    tensors = _tensor_map(net)
     for name, shape in lay:
-        t = tensors[name]
+        t = _tensor(net, name)
         if t.shape != shape:
             raise CodecError(f"tensor {name} has shape {t.shape}, layout says {shape}")
         parts.append(np.asarray(t, dtype=float).ravel())
@@ -517,39 +525,22 @@ def decode_params(vector, config: AnalyzerConfig) -> PopulationEncoder:
     """Rebuild the network from a flat vector; exact inverse of encode_params."""
     lay = layout(config)
     values = vector.values if isinstance(vector, ParamVector) else np.asarray(vector, dtype=float).reshape(-1)
-    expected = sum(int(np.prod(s)) for _, s in lay)
-    if values.shape[0] != expected:
+    if values.shape[0] != layout_size(lay):
         raise CodecError(
-            f"parameter vector has length {values.shape[0]}, expected {expected} "
-            f"for config {config.to_dict()}"
+            f"parameter vector has length {values.shape[0]}, expected "
+            f"{layout_size(lay)} for config {config.to_dict()}"
         )
-    tensors: dict[str, np.ndarray] = {}
-    pos = 0
-    for name, shape in lay:
-        n = int(np.prod(shape))
-        tensors[name] = values[pos : pos + n].reshape(shape).copy()
-        pos += n
+    tensors = unpack(values, lay)
     net = PopulationEncoder(config=config, w_emb=tensors["w_emb"])
     for i in range(config.num_layers):
-        blocks = {}
-        for stage in ("cross_solution", "cross_dimension"):
-            kwargs = {
-                name: tensors[f"layer{i}.{stage}.{name}"]
-                for name, _ in _BLOCK_TENSORS
-            }
-            blocks[stage] = AttnBlockParams(**kwargs)
+        blocks = {
+            stage: AttnBlockParams(
+                **{name: tensors[f"layer{i}.{stage}.{name}"] for name, _ in _BLOCK_TENSORS}
+            )
+            for stage in _STAGES
+        }
         net.layers.append(EncoderLayer(**blocks))
     return net
-
-
-def _tensor_map(net: PopulationEncoder) -> dict[str, np.ndarray]:
-    tensors = {"w_emb": net.w_emb}
-    for i, layer in enumerate(net.layers):
-        for stage in ("cross_solution", "cross_dimension"):
-            block = getattr(layer, stage)
-            for name, _ in _BLOCK_TENSORS:
-                tensors[f"layer{i}.{stage}.{name}"] = getattr(block, name)
-    return tensors
 
 
 # --- checkpoint container ---------------------------------------------------
@@ -558,21 +549,15 @@ def _tensor_map(net: PopulationEncoder) -> dict[str, np.ndarray]:
 def _checkpoint_payload(
     config: AnalyzerConfig, theta: np.ndarray, provenance: dict
 ) -> dict:
-    lay = layout(config)
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    expected = sum(int(np.prod(s)) for _, s in lay)
-    if theta.shape[0] != expected:
-        raise CodecError(
-            f"theta length {theta.shape[0]} does not match layout total {expected}"
-        )
+    packed = ParamVector(values=theta, layout=layout(config))  # checks the length
     return {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "config": config.to_dict(),
-        "layout": [[name, list(shape)] for name, shape in lay],
-        "param_count": expected,
+        "layout": [[name, list(shape)] for name, shape in packed.layout],
+        "param_count": packed.values.shape[0],
         "dtype": "<f8",
-        "theta_b64": f8_to_b64(theta),
+        "theta_b64": f8_to_b64(packed.values),
         "provenance": dict(provenance),
     }
 

@@ -138,10 +138,53 @@ def load_train_config(path) -> TrainingRunConfig:
     )
 
 
+def _load(path, cls, root: str):
+    """The `cls` a JSON file describes, checked against `_schema(cls)` under `root`."""
+    data = _read_json(path, root)
+    _check_keys(data, _schema(cls), root)
+    return cls(**data)
+
+
 def load_task_config(path) -> TaskSpec:
-    data = _read_json(path, "task config")
-    _check_keys(data, _schema(TaskSpec), "task")
-    return TaskSpec.from_dict(data)
+    return _load(path, TaskSpec, "task")
+
+
+@dataclasses.dataclass(frozen=True)
+class BenchGrid:
+    """A ``bench`` grid file: (m, d) cells and how to time each extractor."""
+
+    cells: tuple[list, ...]  # each [m, d]
+    runs: int = 10
+    kinds: tuple[str, ...] = BENCH_EXTRACTORS
+    checkpoint: typing.Optional[str] = None
+    seed: int = 0
+
+    def __post_init__(self):
+        for i, cell in enumerate(self.cells):
+            if not (len(cell) == 2 and all(type(v) is int and v > 0 for v in cell)):
+                raise ConfigError(f"grid.cells[{i}]: expected two positive ints, got {cell!r}")
+        for i, kind in enumerate(self.kinds):
+            if kind not in BENCH_EXTRACTORS:
+                raise ConfigError(
+                    f"grid.kinds[{i}]: unknown extractor kind {kind!r}; one of {BENCH_EXTRACTORS}"
+                )
+        if self.seed < 0:
+            raise ConfigError(f"grid.seed: expected a non-negative int, got {self.seed}")
+
+
+@dataclasses.dataclass(frozen=True)
+class AnalyzeInputs:
+    """An ``analyze`` inputs file: a checkpoint, a task file and the study size."""
+
+    checkpoint: str
+    task: str
+    function_id: int
+    runs: int = 3
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.runs < 1:
+            raise ConfigError(f"inputs.runs: expected a positive int, got {self.runs}")
 
 
 # --- observation file format -----------------------------------------------------
@@ -203,26 +246,6 @@ def parse_observation_file(path) -> list[Observation]:
     return observations
 
 
-def write_observation_file(path, observations, lb, ub) -> None:
-    d = observations[0].dimension if observations else len(np.atleast_1d(lb))
-    lb = np.broadcast_to(np.asarray(lb, dtype=float), (d,))
-    ub = np.broadcast_to(np.asarray(ub, dtype=float), (d,))
-    lines = [
-        "# d=%d lb=%s ub=%s"
-        % (
-            d,
-            ",".join(repr(float(v)) for v in lb),
-            ",".join(repr(float(v)) for v in ub),
-        ),
-        ",".join(["obs"] + [f"x_{j}" for j in range(1, d + 1)] + ["y"]),
-    ]
-    for i, obs in enumerate(observations):
-        for row, y in zip(obs.X, obs.y):
-            cells = [str(i)] + [repr(float(v)) for v in row] + [repr(float(y))]
-            lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 # --- commands ---------------------------------------------------------------------
 
 
@@ -254,6 +277,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.q < 1:
+        raise ConfigError(f"--q must be at least 1, got {args.q}")
     config, theta, provenance = load_checkpoint(args.checkpoint)
     task = load_task_config(args.task)
     if args.mode == "zero_shot":
@@ -303,36 +328,17 @@ def cmd_extract(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    grid = _read_json(args.grid, "grid config")
-    _check_keys(
-        grid,
-        {
-            "cells": (list, True),
-            "runs": (int, False),
-            "kinds": (list, False),
-            "checkpoint": (typing.Optional[str], False),
-            "seed": (int, False),
-        },
-        "grid",
-    )
-    for i, cell in enumerate(grid["cells"]):
-        if not (
-            isinstance(cell, list)
-            and len(cell) == 2
-            and all(type(v) is int and v > 0 for v in cell)
-        ):
-            raise ConfigError(f"grid.cells[{i}]: expected two positive ints, got {cell!r}")
-    cells = [tuple(c) for c in grid["cells"]]
+    grid = _load(args.grid, BenchGrid, "grid")
     theta = cfg = None
-    if grid.get("checkpoint"):
-        cfg, theta, _ = load_checkpoint(grid["checkpoint"])
+    if grid.checkpoint:
+        cfg, theta, _ = load_checkpoint(grid.checkpoint)
     rows = bench_grid(
-        cells=cells,
-        runs=grid.get("runs", 10),
-        kinds=tuple(grid.get("kinds", BENCH_EXTRACTORS)),
+        cells=grid.cells,
+        runs=grid.runs,
+        kinds=grid.kinds,
         analyzer_cfg=cfg,
         theta=theta,
-        seed=grid.get("seed", 0),
+        seed=grid.seed,
     )
     out = Path(args.output)
     out.write_text(timings_to_table_csv(rows))
@@ -343,27 +349,16 @@ def cmd_bench(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    inputs = _read_json(args.inputs, "inputs")
-    _check_keys(
-        inputs,
-        {
-            "checkpoint": (str, True),
-            "task": (str, True),
-            "function_id": (int, True),
-            "runs": (int, False),
-            "seed": (int, False),
-        },
-        "inputs",
-    )
-    config, theta, _ = load_checkpoint(inputs["checkpoint"])
-    task = load_task_config(inputs["task"])
+    inputs = _load(args.inputs, AnalyzeInputs, "inputs")
+    config, theta, _ = load_checkpoint(inputs.checkpoint)
+    task = load_task_config(inputs.task)
     study = exploration_study(
         task,
         theta,
         config,
-        function_id=inputs["function_id"],
-        runs=inputs.get("runs", 3),
-        seed=inputs.get("seed", 0),
+        function_id=inputs.function_id,
+        runs=inputs.runs,
+        seed=inputs.seed,
     )
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)

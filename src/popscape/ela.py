@@ -11,7 +11,11 @@ Features that are undefined for a sample (zero variance, duplicate points)
 are reported as ``None`` rather than NaN; consumers impute or skip
 explicitly.  All functions are deterministic in (X, y): the information
 content tour is the nearest-neighbor tour from the best sample, not a random
-walk.
+walk.  The last bits of the offline ``mm_quad_*`` and ``pca_expl_*``
+features follow the BLAS library's thread count: the least-squares fits,
+covariances and eigenvalues behind them may split their sums by thread.
+Pin the count (e.g. ``OPENBLAS_NUM_THREADS=1``) to compare them across
+machines or runs.
 
 The groups that need pairwise distances take the sample's distance matrix
 as an optional keyword ``D``; `ela_features` builds it once and passes it

@@ -31,7 +31,7 @@ from .errors import ConfigError
 from .es import EsConfig, es_init, es_sample, es_update
 from .optimizers import DeConfig, OptimizerState, PsoConfig, de_step, init_state, pso_step
 from .problems import NoiseModel, Problem, ProblemSpec, make_problem, sample_offset
-from .utils import array_digest, derive_seed
+from .utils import array_digest, derive_seed, layout_size, unpack
 
 Z_CAP = 10.0
 SIGMA_FLOOR = 1e-12
@@ -122,9 +122,14 @@ def policy_template_for(optimizer: str, hidden: int = 32) -> PolicyTemplate:
     raise ConfigError(f"unknown optimizer kind {optimizer!r}")
 
 
+def policy_layout(template: PolicyTemplate, in_width: int) -> tuple:
+    """Packing order of a policy vector: w1, b1, w2, b2."""
+    h, k = template.hidden, len(template.outputs)
+    return (("w1", (in_width, h)), ("b1", (h,)), ("w2", (h, k)), ("b2", (k,)))
+
+
 def policy_param_count(template: PolicyTemplate, in_width: int) -> int:
-    k = len(template.outputs)
-    return in_width * template.hidden + template.hidden + template.hidden * k + k
+    return layout_size(policy_layout(template, in_width))
 
 
 @dataclass
@@ -151,36 +156,18 @@ class MetaPolicy:
 
 def policy_decode(vector: np.ndarray, template: PolicyTemplate, in_width: int) -> MetaPolicy:
     vector = np.asarray(vector, dtype=float).reshape(-1)
-    expected = policy_param_count(template, in_width)
-    if vector.shape[0] != expected:
+    lay = policy_layout(template, in_width)
+    if vector.shape[0] != layout_size(lay):
         raise ConfigError(
-            f"policy vector has length {vector.shape[0]}, expected {expected} "
+            f"policy vector has length {vector.shape[0]}, expected {layout_size(lay)} "
             f"for feature width {in_width}"
         )
-    h, k = template.hidden, len(template.outputs)
-    pos = 0
-
-    def take(shape):
-        nonlocal pos
-        n = int(np.prod(shape))
-        out = vector[pos : pos + n].reshape(shape).copy()
-        pos += n
-        return out
-
-    return MetaPolicy(
-        template=template,
-        in_width=in_width,
-        w1=take((in_width, h)),
-        b1=take((h,)),
-        w2=take((h, k)),
-        b2=take((k,)),
-    )
+    return MetaPolicy(template=template, in_width=in_width, **unpack(vector, lay))
 
 
 def policy_encode(policy: MetaPolicy) -> np.ndarray:
-    return np.concatenate(
-        [policy.w1.ravel(), policy.b1.ravel(), policy.w2.ravel(), policy.b2.ravel()]
-    )
+    lay = policy_layout(policy.template, policy.in_width)
+    return np.concatenate([getattr(policy, name).ravel() for name, _ in lay])
 
 
 # --- tasks ---------------------------------------------------------------------
@@ -212,9 +199,11 @@ class TaskSpec:
         object.__setattr__(self, "test_functions", tuple(self.test_functions))
         if self.optimizer not in ("de", "pso"):
             raise ConfigError(f"unknown optimizer kind {self.optimizer!r}")
-        if self.analyzer_slot not in ANALYZER_SLOTS:
+        # Training and evaluation always evolve the neural encoder; the field
+        # stays because run digests, baseline-cache keys and checkpoints hold it.
+        if self.analyzer_slot != "neural":
             raise ConfigError(
-                f"unknown analyzer slot {self.analyzer_slot!r}; one of {ANALYZER_SLOTS}"
+                f"task {self.id}: analyzer_slot must be 'neural', got {self.analyzer_slot!r}"
             )
         for name in ("population_size", "episodes_per_eval"):
             if getattr(self, name) <= 0:
@@ -293,8 +282,6 @@ def _policy_config(
         feats = pop[None, :]
     out = policy.raw_outputs(feats)
     if task.optimizer == "de":
-        if out.shape[0] == 1:
-            out = np.tile(out, (m, 1))
         return DeConfig(F=out[:, 0], Cr=out[:, 1]), {
             "F_mean": float(out[:, 0].mean()),
             "Cr_mean": float(out[:, 1].mean()),

@@ -79,6 +79,8 @@ class TrainingRunConfig:
         ids = [t.id for t in self.tasks]
         if len(set(ids)) != len(ids):
             raise ConfigError(f"duplicate task ids: {ids}")
+        if self.q_runs < 1:
+            raise ConfigError(f"q_runs must be at least 1, got {self.q_runs}")
 
     def es_config(self) -> EsConfig:
         return EsConfig(

@@ -1,10 +1,14 @@
-"""Small shared helpers, and the one codec for everything written to disk.
+"""Small shared helpers, the one codec for everything written to disk, and
+the one layout codec for flat weight vectors.
 
 Files are written atomically: the text goes to a sibling ``*.tmp`` file that
 then replaces the target, so a reader sees the old file or the new one,
 never a torn mix.  Sealed files are canonical JSON plus a ``sha256`` of the
 rest, verified on read.  Float arrays travel as base64 of their
 little-endian float64 bytes, which round-trips every bit.
+
+A layout is a tuple of (name, shape) pairs: a flat weight vector holds each
+named array's values in C order, one after another in layout order.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 from typing import Optional
@@ -54,6 +59,22 @@ def f8_to_b64(a) -> str:
 def f8_from_b64(text: str) -> np.ndarray:
     """The flat, writable float64 array `f8_to_b64` encoded."""
     return np.frombuffer(base64.b64decode(text), dtype="<f8").astype(float)
+
+
+def layout_size(layout) -> int:
+    """Number of values a flat vector with this (name, shape) layout holds."""
+    return sum(math.prod(shape) for _, shape in layout)
+
+
+def unpack(vector: np.ndarray, layout) -> dict[str, np.ndarray]:
+    """Each layout name mapped to a writable copy of its slice of `vector`,
+    reshaped; `vector` is flat and `layout_size(layout)` long."""
+    arrays, pos = {}, 0
+    for name, shape in layout:
+        n = math.prod(shape)
+        arrays[name] = vector[pos : pos + n].reshape(shape).copy()
+        pos += n
+    return arrays
 
 
 def write_atomic(path, text: str) -> None:

@@ -17,7 +17,6 @@ from popscape.cli import (
     load_train_config,
     main,
     parse_observation_file,
-    write_observation_file,
 )
 
 
@@ -201,6 +200,27 @@ def test_damaged_baseline_entry_exit_four_naming_file_and_key(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert str(cache) in err and key in err
     assert cache.read_text() == damaged
+
+
+def write_observation_file(path, observations, lb, ub) -> None:
+    """Write observations in the format `parse_observation_file` reads."""
+    d = observations[0].dimension if observations else len(np.atleast_1d(lb))
+    lb = np.broadcast_to(np.asarray(lb, dtype=float), (d,))
+    ub = np.broadcast_to(np.asarray(ub, dtype=float), (d,))
+    lines = [
+        "# d=%d lb=%s ub=%s"
+        % (
+            d,
+            ",".join(repr(float(v)) for v in lb),
+            ",".join(repr(float(v)) for v in ub),
+        ),
+        ",".join(["obs"] + [f"x_{j}" for j in range(1, d + 1)] + ["y"]),
+    ]
+    for i, obs in enumerate(observations):
+        for row, y in zip(obs.X, obs.y):
+            cells = [str(i)] + [repr(float(v)) for v in row] + [repr(float(y))]
+            lines.append(",".join(cells))
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def obs_file(tmp_path, count=2):
@@ -575,3 +595,83 @@ def test_full_config_sets_every_field(tmp_path):
     assert (run.initial_sigma, run.initial_mean_mode, run.path_lr) == (0.3, "uniform_random", 0.5)
     assert (run.q_runs, run.seed, run.analyzer.num_heads) == (2, 5, 2)
     assert run.tasks[0].noise.level == 0.1 and run.tasks[0].policy_hidden == 8
+
+
+# --- inputs rejected before any work ----------------------------------------------
+
+
+def forbid(monkeypatch, module, name) -> list:
+    """Replace ``module.name`` by a stub that records its calls."""
+    calls = []
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(args))
+    return calls
+
+
+@pytest.mark.parametrize("q_runs", [0, -1])
+def test_train_nonpositive_q_runs_exit_two_before_training(tmp_path, capsys, monkeypatch, q_runs):
+    # q_runs 0 trained to NaN fitness and baselines; -1 failed with exit 3
+    import popscape.cli as cli
+
+    trained = forbid(monkeypatch, cli, "train")
+    config = train_config(tmp_path, q_runs=q_runs)
+    assert main(["train", "--config", str(config), "--run-dir", str(tmp_path / "run")]) == EXIT_CONFIG
+    assert f"q_runs must be at least 1, got {q_runs}" in capsys.readouterr().err
+    assert trained == [] and not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("q", [0, -1])
+@pytest.mark.parametrize("mode", ["zero_shot", "fine_tune"])
+def test_evaluate_nonpositive_q_exit_two_before_any_episode(tmp_path, capsys, monkeypatch, mode, q):
+    # --q 0 printed an upsilon of NaN with exit 0
+    import popscape.cli as cli
+
+    scored = forbid(monkeypatch, cli, mode)
+    task = tmp_path / "task.json"
+    task.write_text(json.dumps(full_task()))
+    rc = main([
+        "evaluate", "--checkpoint", str(GOLDEN_CHECKPOINT), "--task", str(task),
+        "--mode", mode, "--q", str(q),
+    ])
+    assert rc == EXIT_CONFIG
+    assert f"--q must be at least 1, got {q}" in capsys.readouterr().err
+    assert scored == []
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_non_neural_analyzer_slot_exit_two_naming_field(tmp_path, capsys, command):
+    # the slot was never read: "ela" trained the neural encoder and exited 0
+    data = base_config(command, tmp_path)
+    task = data["tasks"][0] if command == "train" else data
+    task["analyzer_slot"] = "ela"
+    assert run_with_config(tmp_path, command, data) == EXIT_CONFIG
+    assert "task de_full: analyzer_slot must be 'neural', got 'ela'" in capsys.readouterr().err
+
+
+def test_bench_negative_seed_exit_two_naming_field(tmp_path, capsys):
+    # exited 3 from the random generator's "expected non-negative integer"
+    data = dict(full_grid(), seed=-1)
+    assert run_with_config(tmp_path, "bench", data) == EXIT_CONFIG
+    assert "grid.seed: expected a non-negative int, got -1" in capsys.readouterr().err
+
+
+def test_bench_unknown_kind_exit_two_before_any_cell_is_timed(tmp_path, capsys, monkeypatch):
+    # the handcrafted cells used to be timed before "bogus" failed
+    import popscape.analysis as analysis
+
+    built = forbid(monkeypatch, analysis, "make_bench_extractor")
+    data = dict(full_grid(), kinds=["handcrafted", "bogus"])
+    assert run_with_config(tmp_path, "bench", data) == EXIT_CONFIG
+    assert "grid.kinds[1]: unknown extractor kind 'bogus'" in capsys.readouterr().err
+    assert built == [] and not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("runs", [0, -1])
+def test_analyze_nonpositive_runs_exit_two_before_meta_training(tmp_path, capsys, monkeypatch, runs):
+    # meta-training ran first, then "feature rows do not match feature names"
+    import popscape.analysis as analysis
+
+    trained = forbid(monkeypatch, analysis, "meta_train")
+    data = dict(full_inputs(tmp_path), runs=runs)
+    assert run_with_config(tmp_path, "analyze", data) == EXIT_CONFIG
+    assert f"inputs.runs: expected a positive int, got {runs}" in capsys.readouterr().err
+    assert trained == []

@@ -19,6 +19,7 @@ from popscape.metabbo import (
     meta_train,
     policy_decode,
     policy_encode,
+    policy_layout,
     policy_param_count,
     policy_template_for,
     relative_performance,
@@ -90,6 +91,14 @@ def test_policy_codec_round_trip(rng):
     vec = rng.normal(size=n)
     policy = policy_decode(vec, template, 16)
     assert np.array_equal(policy_encode(policy), vec)
+
+
+def test_policy_layout_packs_w1_b1_w2_b2():
+    template = policy_template_for("de")  # 32 hidden units, 2 outputs
+    assert policy_layout(template, 16) == (
+        ("w1", (16, 32)), ("b1", (32,)), ("w2", (32, 2)), ("b2", (2,))
+    )
+    assert policy_param_count(template, 16) == 16 * 32 + 32 + 32 * 2 + 2
 
 
 def test_policy_wrong_length_names_expected():
