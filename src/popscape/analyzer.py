@@ -22,13 +22,19 @@ Layer 0's cross-solution stage has a rank-2 path.  Its input is
 queries, keys and values are linear in U: per head the scores are
 ``U A U^T`` with one 2x2 matrix A, and the attention output is
 ``softmax(scores) U`` times one 2 x h value map.  Both products then run at
-inner width 2 instead of h.  The core walks each slice in tiles of query
-rows holding at most `RANK2_TILE_BYTES` of scores, so every pass over a
-tile stays in cache.  A tile takes one score gemm: each row's shift is its
-largest score against a few of U's extreme points, a lower bound on its
-max found before the tiles, and rides in that gemm as a third column; the
-row sums ride in the ``softmax U`` gemm.  Rows whose ``exp`` overflowed
-(extreme weights) are redone with their exact max.
+inner width 2.  Each score is ``w . u`` with u in [0, 1]^2, so about the
+centre c of the slice's bounding box ``exp(w . u) = exp(w . c) exp(w . (u -
+c))``; the first factor cancels in the softmax, and the second is expanded
+as a truncated Taylor series, the multipole idea of the fast Gauss transform
+(Greengard & Strain 1991; Yang, Duraiswami & Gumerov 2003).  The degree is
+the smallest that bounds the relative error of each score's ``exp`` by
+`TAYLOR_TOL`, and the sums over keys come first, so a (slice, head) costs O(L p^2) instead of
+O(L^2) and holds no L x L array.  A (slice, head) whose weights are too
+large for a cheap, accurate expansion runs in tiles of query rows holding at
+most `RANK2_TILE_BYTES` of scores: one score gemm per tile, each row shifted
+by a lower bound on its max found before the tiles, the row sums riding in
+the ``softmax U`` gemm, and rows whose ``exp`` overflowed redone with their
+exact max.
 `PopulationEncoder.features` passes U, and the path runs only where that
 stage is chunked anyway: heads * d * m^2 * 8 bytes of scores above
 `SCORE_BLOCK_BYTES`, e.g. m >= 324 at d = 10 with one head.  Every smaller
@@ -66,6 +72,15 @@ SCORE_BLOCK_BYTES = 8 << 20
 # Most float64 score bytes one query-row tile of the rank-2 core holds
 # (131 rows at m = 1000), so each tile's passes stay in cache.
 RANK2_TILE_BYTES = 1 << 20
+
+# Relative error the rank-2 core's truncated-Taylor path allows in each
+# score's exp, far below float64 rounding.
+TAYLOR_TOL = 2.0**-60
+
+# Largest rho the Taylor path takes.  Its terms reach e^rho against values
+# as small as e^-rho, so its rounding grows like eps * e^(2 rho): 1.2e-14
+# at 2.
+TAYLOR_MAX_RHO = 2.0
 
 # (2, 16): unit vectors at multiples of 22.5 degrees.  The rank-2 core
 # shifts each query row by its largest score against U's extreme points
@@ -359,8 +374,100 @@ def _rank2_attention(u: np.ndarray, a: np.ndarray, vo: np.ndarray) -> np.ndarray
 
     Q, K and V are linear in U, so each head's scores are (U A) U^T and its
     output is softmax(scores) U times its value map; (n, L, 2) -> (n, L, h).
-    Each (slice, head) runs in tiles of query rows holding at most
-    `RANK2_TILE_BYTES` of scores, all in one buffer.
+    A query row w of U A scores key u as ``w . u``.  Each (slice, head)
+    takes its ``[P U | row sums]`` from `_taylor_rows` when `_taylor_degree`
+    gives a degree p for ``rho = max_w |w_x| r_x + |w_y| r_y``, with r the
+    half-widths of U's bounding box, and ``2 (p+1) (p+2) < L``: the Taylor
+    path's two gemms, about 3 L (p+1)^2 multiply-adds each, then cost less
+    than the 3 L^2 of the tiles' score gemm alone.  Every other
+    (slice, head) runs in `_tiled_rows`.
+    """
+    n, L, _ = u.shape
+    heads = a.shape[0]
+    keys_t = np.ones((3, L))  # [U | 1]^T
+    keys = np.ones((L, 3))  # [U | 1], filled for the tiles
+    pu = np.empty((n, heads, L, 3))  # P U | row sums
+    buffers = None  # the tiles' scores and [W | -shift], made on first use
+    for i in range(n):
+        keys_t[:2] = u[i].T
+        lo, hi = keys_t[:2].min(axis=1), keys_t[:2].max(axis=1)
+        radius = ((hi - lo) / 2)[:, None]
+        # offsets from the box centre in half-widths (0 in a channel of width 0)
+        unit = (keys_t[:2] - (lo + hi)[:, None] / 2) / np.where(radius > 0, radius, 1.0)
+        for k in range(heads):
+            wr = a[k].T @ keys_t[:2]  # (2, L): the queries, as 2-vectors against U
+            wr *= radius  # ... times the half-widths
+            p = _taylor_degree(float(np.max(np.abs(wr[0]) + np.abs(wr[1]))))
+            if p is not None and 2 * (p + 1) * (p + 2) < L:
+                _taylor_rows(wr, unit, keys_t, p, pu[i, k])
+                continue
+            if buffers is None:
+                rows = max(1, min(L, RANK2_TILE_BYTES // (L * 8)))
+                buffers = np.empty((rows, L)), np.empty((rows, 3))
+            keys[:, :2] = u[i]
+            _tiled_rows(u[i] @ a[k], keys, pu[i, k], *buffers)
+    out = pu[..., :2] / pu[..., 2:]
+    return out.swapaxes(1, 2).reshape(n, L, -1) @ vo
+
+
+def _taylor_degree(rho: float) -> Optional[int]:
+    """The smallest p with ``e^{2 rho} rho^{p+1} / (p+1)! <= TAYLOR_TOL``, or
+    None when rho is not finite or exceeds `TAYLOR_MAX_RHO`.
+
+    With |w . (u - c)| <= rho for every score, that is a bound on the
+    relative error of each score's ``exp`` cut at degree p: the omitted tail
+    is at most ``e^rho rho^{p+1} / (p+1)!`` against a value of at least
+    ``e^-rho``.  U >= 0, so the bound holds for P U and the row sums too.
+    """
+    if not rho <= TAYLOR_MAX_RHO:  # also NaN
+        return None
+    grow, p = math.exp(2 * rho), 0
+    while grow * rho ** (p + 1) / math.factorial(p + 1) > TAYLOR_TOL:
+        p += 1
+    return p
+
+
+def _powers(x: np.ndarray, n: int) -> np.ndarray:
+    """(n, *x.shape): entry a holds x^a."""
+    t = np.empty((n, *x.shape))
+    t[0] = 1.0
+    for a in range(1, n):
+        np.multiply(t[a - 1], x, out=t[a])
+    return t
+
+
+def _taylor_rows(
+    wr: np.ndarray, unit: np.ndarray, keys_t: np.ndarray, p: int, out: np.ndarray
+) -> None:
+    """``[P U | row sums]`` of one (slice, head) into ``out``, each row
+    scaled by ``exp(-w . c)``, which cancels in their ratio.
+
+    ``wr`` (2, L) holds the queries times the box half-widths r, ``unit``
+    (2, L) the keys' offsets (u - c) / r, and ``keys_t`` is ``[U | 1]^T``.
+    Each score is ``w . c + wr . unit``, and ``exp(wr . unit)`` is expanded
+    as ``sum_{a,b} (wr_x unit_x)^a (wr_y unit_y)^b / (a! b!)`` over a, b <= p,
+    which holds every term of total degree <= p, so `_taylor_degree`'s bound
+    applies.  Summed over the keys first,
+    ``M[c, b, a] = sum_l keys_t[c, l] unit_y^b unit_x^a / (a! b!)`` is one
+    gemm, and row l's value in channel c is
+    ``sum_b wr_y^b sum_a M[c, b, a] wr_x^a``: no (L, L) array.
+    """
+    n = p + 1
+    kx, ky = _powers(unit, n).swapaxes(0, 1)
+    m = ((ky * keys_t[:, None]).reshape(3 * n, -1) @ kx.T).reshape(3, n, n)
+    fact = np.cumprod(np.maximum(np.arange(n), 1.0))  # 0!, 1!, ..., p!
+    m /= np.outer(fact, fact)
+    qx, qy = _powers(wr, n).swapaxes(0, 1)
+    s = (m.reshape(3 * n, n) @ qx).reshape(3, n, -1)
+    s *= qy
+    out[...] = s.sum(axis=1).T
+
+
+def _tiled_rows(
+    w: np.ndarray, keys: np.ndarray, out: np.ndarray, scores: np.ndarray, lhs: np.ndarray
+) -> None:
+    """``[P U | row sums]`` of one (slice, head) into ``out``, in tiles of
+    query rows holding at most `RANK2_TILE_BYTES` of scores.
 
     A query row w is shifted by its largest score against U's extreme points
     in `_EXTREME_DIRECTIONS`: one of its own scores, so a lower bound on its
@@ -371,36 +478,19 @@ def _rank2_attention(u: np.ndarray, a: np.ndarray, vo: np.ndarray) -> np.ndarray
     `pie_normalize` gives it, P U is finite wherever the sum is) and are
     redone by `_exact_rows`.
     """
-    n, L, _ = u.shape
-    heads = a.shape[0]
-    rows = max(1, min(L, RANK2_TILE_BYTES // (L * 8)))
-    scores = np.empty((rows, L))
-    lhs = np.empty((rows, 3))  # [W_t | -shift]
-    keys = np.ones((L, 3))  # [U | 1]
-    pu = np.empty((n, heads, L, 3))  # P U | row sums
-    # U against the directions, then each head's W against the extremes
-    proj = np.empty((L, _EXTREME_DIRECTIONS.shape[1]))
-    shift = np.empty(L)
+    L, rows = keys.shape[0], lhs.shape[0]
+    extremes = keys[np.argmax(keys[:, :2] @ _EXTREME_DIRECTIONS, axis=0), :2]
+    shift = np.max(w @ extremes.T, axis=1)
     with np.errstate(over="ignore"):
-        for i in range(n):
-            keys[:, :2] = u[i]
-            np.matmul(u[i], _EXTREME_DIRECTIONS, out=proj)
-            extremes = u[i][np.argmax(proj, axis=0)]
-            for k in range(heads):
-                w = u[i] @ a[k]  # (L, 2): the queries, as 2-vectors against U
-                np.matmul(w, extremes.T, out=proj)
-                np.max(proj, axis=1, out=shift)
-                for t in range(0, L, rows):
-                    r = min(rows, L - t)
-                    q = lhs[:r]
-                    q[:, :2] = w[t : t + r]
-                    np.negative(shift[t : t + r], out=q[:, 2])
-                    _shifted_tile(q, keys, scores[:r], pu[i, k, t : t + r])
-                bad = np.flatnonzero(~np.isfinite(pu[i, k, :, 2]))
-                if bad.size:
-                    _exact_rows(w, keys, bad, pu[i, k], scores, lhs)
-    out = pu[..., :2] / pu[..., 2:]
-    return out.swapaxes(1, 2).reshape(n, L, -1) @ vo
+        for t in range(0, L, rows):
+            r = min(rows, L - t)
+            q = lhs[:r]
+            q[:, :2] = w[t : t + r]
+            np.negative(shift[t : t + r], out=q[:, 2])
+            _shifted_tile(q, keys, scores[:r], out[t : t + r])
+        bad = np.flatnonzero(~np.isfinite(out[:, 2]))
+        if bad.size:
+            _exact_rows(w, keys, bad, out, scores, lhs)
 
 
 def _shifted_tile(

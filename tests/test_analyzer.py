@@ -28,6 +28,7 @@ from popscape.analyzer import (
 )
 from popscape.errors import CodecError, IntegrityError
 
+from .golden import DATA
 from .reference import (
     ref_attn_block,
     ref_embed,
@@ -462,6 +463,135 @@ def test_rank2_core_holds_one_tile_of_scores():
     a, vo = analyzer._rank2_maps(net.w_emb, net.layers[0].cross_solution, 1)
     analyzer._rank2_attention(u, a, vo)
     assert traced_peak(lambda: analyzer._rank2_attention(u, a, vo)) < 2 * RANK2_TILE_BYTES
+
+
+# --- the rank-2 core's truncated-Taylor path -------------------------------------
+
+
+def taylor_bound(rho, p):
+    """Relative error bound of a degree-p expansion at radius rho."""
+    return math.exp(2 * rho) * rho ** (p + 1) / math.factorial(p + 1)
+
+
+def spy_degrees(monkeypatch):
+    """Record every (rho, p) the degree chooser returns."""
+    chosen = []
+    choose = analyzer._taylor_degree
+    monkeypatch.setattr(
+        analyzer, "_taylor_degree", lambda rho: chosen.append((rho, choose(rho))) or chosen[-1][1]
+    )
+    return chosen
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    fn = getattr(analyzer, name)
+    monkeypatch.setattr(analyzer, name, lambda *a: calls.append(1) or fn(*a))
+    return calls
+
+
+def golden_net():
+    config, theta, _ = load_checkpoint(DATA / "run" / "analyzer_best.json")
+    return decode_params(theta, config)
+
+
+@pytest.mark.parametrize("weights", ["normal_0.2", "normal_0.5", "golden"])
+def test_taylor_degree_is_smallest_meeting_bound(monkeypatch, weights):
+    if weights == "golden":
+        net = golden_net()
+        rng = np.random.default_rng(7)
+    else:
+        scale = float(weights.split("_")[1])
+        net, rng = random_net(AnalyzerConfig(num_heads=2), 43, scale=scale)
+    obs = random_observation(rng, m=1000, d=10)
+    chosen = spy_degrees(monkeypatch)
+    taylor = count_calls(monkeypatch, "_taylor_rows")
+    net.features(obs)
+    assert len(chosen) == 10 * net.config.num_heads  # once per (slice, head)
+    assert len(taylor) > 0
+    for rho, p in chosen:
+        assert 0 < rho <= analyzer.TAYLOR_MAX_RHO
+        assert taylor_bound(rho, p) <= analyzer.TAYLOR_TOL
+        assert p == 0 or taylor_bound(rho, p - 1) > analyzer.TAYLOR_TOL
+
+
+def test_taylor_all_equal_keys_take_degree_zero_mean(monkeypatch):
+    # one repeated point: rho = 0, and degree 0 averages U exactly
+    U = pie_normalize(degenerate_observation("all_equal", np.random.default_rng(3)))
+    net, _ = random_net(AnalyzerConfig(num_heads=2), 41, scale=0.3)
+    a, vo = analyzer._rank2_maps(net.w_emb, net.layers[0].cross_solution, 2)
+    chosen = spy_degrees(monkeypatch)
+    out = analyzer._rank2_attention(U, a, vo)
+    assert chosen == [(0.0, 0)] * (U.shape[0] * 2)
+    mean = np.concatenate([U.mean(axis=1)] * 2, axis=-1) @ vo
+    assert np.max(np.abs(out - mean[:, None, :])) <= 1e-14 * np.max(np.abs(mean))
+
+
+@pytest.mark.parametrize("entry", [np.nan, 1e308], ids=["nan", "overflow"])
+def test_taylor_nonfinite_rho_reaches_tiles(monkeypatch, entry):
+    u = np.random.default_rng(5).uniform(0, 1, (2, 330, 2))
+    u[:, 0] = 1.0  # its queries are 2e308 = inf at the overflow entries
+    a = np.full((1, 2, 2), entry)
+    chosen = spy_degrees(monkeypatch)
+    tiles = count_calls(monkeypatch, "_tiled_rows")
+    with np.errstate(all="ignore"):
+        analyzer._rank2_attention(u, a, np.eye(2))
+    assert len(tiles) == 2
+    assert [p for _, p in chosen] == [None, None]
+    assert not any(math.isfinite(rho) for rho, _ in chosen)
+
+
+def test_taylor_scale_300_weights_reach_tiles(monkeypatch):
+    # the weights and observation of test_rank2_extreme_weights_stay_finite_and_exact
+    net, rng = random_net(AnalyzerConfig(num_heads=2), 33, scale=300.0)
+    X = rng.uniform(-5, 5, (330, 12))
+    obs = Observation(X=X, y=-X[:, 0] + 0.01 * rng.normal(size=330), lb=-5, ub=5)
+    chosen = spy_degrees(monkeypatch)
+    tiles = count_calls(monkeypatch, "_tiled_rows")
+    fs = net.features(obs)
+    assert len(tiles) == len(chosen) == 12 * 2
+    assert all(p is None and rho > analyzer.TAYLOR_MAX_RHO for rho, p in chosen)
+    assert np.all(np.isfinite(fs.per_candidate))
+
+
+def _no_tiles(*args):
+    raise AssertionError("rank-2 tiles reached")
+
+
+@pytest.mark.parametrize("heads", [1, 4])
+def test_taylor_serves_normal_weights_at_m1000(monkeypatch, heads):
+    # the weights perfbench draws: every (slice, head) takes the Taylor path
+    net, rng = random_net(AnalyzerConfig(num_heads=heads), 31, scale=0.2)
+    monkeypatch.setattr(analyzer, "_shifted_tile", _no_tiles)
+    taylor = count_calls(monkeypatch, "_taylor_rows")
+    net.features(random_observation(rng, m=1000, d=10))
+    assert len(taylor) == 10 * heads
+
+
+def tiles_only(monkeypatch):
+    """Switch the Taylor path off, so every (slice, head) runs in tiles."""
+    monkeypatch.setattr(analyzer, "_taylor_degree", lambda rho: None)
+    return count_calls(monkeypatch, "_shifted_tile")
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize(
+    "tile_bytes", [8, 128 * 330 * 8, 330 * 330 * 8],
+    ids=["one_row", "partial_last", "single"],
+)
+def test_rank2_tiles_alone_match_exact_path(monkeypatch, tile_bytes, heads):
+    tiles = tiles_only(monkeypatch)
+    test_rank2_tiles_match_exact_path(monkeypatch, tile_bytes, heads)
+    assert len(tiles) > 0
+
+
+@pytest.mark.parametrize("tile_rows", [1, 128, None], ids=["one_row", "128_rows", "single"])
+@pytest.mark.parametrize("scale", [1e-3, 1e-1, 1e1, 1e3])
+@pytest.mark.parametrize("kind", RANK2_SWEEP_OBSERVATIONS)
+def test_rank2_tiles_alone_match_exact_path_across_scales(monkeypatch, kind, scale, tile_rows):
+    tiles = tiles_only(monkeypatch)
+    test_rank2_forward_matches_exact_path_across_scales(monkeypatch, kind, scale, tile_rows)
+    assert len(tiles) > 0
 
 
 def test_large_forward_drops_its_embedding():

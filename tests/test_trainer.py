@@ -16,6 +16,7 @@ from popscape.trainer import (
     train,
     zero_shot,
 )
+from popscape import analyzer
 from popscape import trainer as trainer_module
 from popscape.utils import derive_seed
 
@@ -139,6 +140,40 @@ def test_interrupt_and_resume_matches_uninterrupted(tmp_path):
     a = load_checkpoint(tmp_path / "full" / "analyzer_best.json")
     b = load_checkpoint(tmp_path / "resumed" / "analyzer_best.json")
     assert np.array_equal(a[1], b[1])
+
+
+def test_chunked_layer0_run_reruns_and_resumes_bit_exactly(tmp_path, monkeypatch):
+    # at population 324 and d = 10, layer 0's cross-solution scores chunk;
+    # from a zero mean the candidates' (slice, head)s take both the rank-2
+    # core's Taylor path and its tiles
+    calls = {"_taylor_rows": 0, "_tiled_rows": 0}
+
+    def counted(name):
+        core = getattr(analyzer, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return core(*args)
+
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(analyzer, name, counted(name))
+    tasks = tuple(
+        dataclasses.replace(t, dimension=10, population_size=324, budget=3 * 324)
+        for t in tiny_tasks()
+    )
+    full = tiny_run(tasks=tasks, initial_mean_mode="zero")
+    train(full, tmp_path / "a")
+    assert calls["_taylor_rows"] > 0 and calls["_tiled_rows"] > 0
+    train(full, tmp_path / "b")
+    partial = dataclasses.replace(full, max_generations=1)
+    train(partial, tmp_path / "resumed")
+    train(full, tmp_path / "resumed", resume=True)
+    for name in ("history.csv", "analyzer_best.json"):
+        first = (tmp_path / "a" / name).read_bytes()
+        assert (tmp_path / "b" / name).read_bytes() == first
+        assert (tmp_path / "resumed" / name).read_bytes() == first
 
 
 def test_resume_rejects_different_config(tmp_path):
