@@ -10,12 +10,12 @@ import argparse
 import tracemalloc
 
 from popscape.analysis import (
-    BENCH_EXTRACTORS,
     bench_grid,
     make_bench_extractor,
     random_observations,
     timings_to_table_csv,
 )
+from popscape.metabbo import EXTRACTOR_KINDS
 
 
 def peak_traced_mb(kind, m, d):
@@ -54,7 +54,7 @@ def main():
 
     print("peak traced memory (MB) of one extraction")
     print("extractor," + ",".join(f"m{m}_d{d}" for m, d in cells))
-    for kind in BENCH_EXTRACTORS:
+    for kind in EXTRACTOR_KINDS:
         peaks = (peak_traced_mb(kind, m, d) for m, d in cells)
         print(kind + "," + ",".join(f"{p:.1f}" for p in peaks))
 

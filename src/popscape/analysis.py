@@ -16,21 +16,18 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .analyzer import AnalyzerConfig, Observation, decode_params
-from .ela import (
-    ELA_FEATURE_NAMES,
-    FULL_SUITE_FEATURE_NAMES,
-    RunContext,
-    full_suite_features,
-    handcrafted_state,
-    impute_missing,
-)
+from .analyzer import AnalyzerConfig, Observation, decode_params, param_count
+# Not called here; perfbench/tracing.py patches this name in this namespace.
+from .ela import handcrafted_state  # noqa: F401
 from .errors import ConfigError
 from .metabbo import (
+    EXTRACTOR_KINDS,
     ElaExtractor,
+    FullSuiteExtractor,
     NeuralExtractor,
     TaskSpec,
     make_instance,
+    make_slot_extractor,
     meta_train,
     run_episode,
 )
@@ -165,44 +162,26 @@ def correlation_to_csv(matrix: CorrelationMatrix) -> str:
 
 # --- wall-time benchmark ----------------------------------------------------------
 
-BENCH_EXTRACTORS = ("neural", "ela", "handcrafted")
-
 
 def make_bench_extractor(
     kind: str,
     analyzer_cfg: Optional[AnalyzerConfig] = None,
     theta: Optional[np.ndarray] = None,
 ) -> Callable[[Observation], np.ndarray]:
-    """Build the feature callable once; construction stays outside the timed
-    region.  The ``ela`` extractor runs the full offline suite, which is what
-    a feature-complete classical pipeline would compute."""
+    """Build the pooled-feature callable once; construction stays outside the
+    timed region.  The ``ela`` kind runs the full offline suite
+    (`FullSuiteExtractor`), and the ``neural`` kind without weights draws
+    them from N(0, 0.2)."""
     if kind == "neural":
-        cfg = analyzer_cfg or AnalyzerConfig()
+        analyzer_cfg = analyzer_cfg or AnalyzerConfig()
         if theta is None:
             rng = np.random.Generator(np.random.PCG64(0))
-            from .analyzer import param_count
-
-            theta = rng.normal(0.0, 0.2, param_count(cfg))
-        net = decode_params(theta, cfg)
-
-        def neural_fn(obs: Observation) -> np.ndarray:
-            return net.features(obs).population
-
-        return neural_fn
+            theta = rng.normal(0.0, 0.2, param_count(analyzer_cfg))
     if kind == "ela":
-
-        def ela_fn(obs: Observation) -> np.ndarray:
-            feats = full_suite_features(obs.X, obs.y, obs.lb, obs.ub)
-            return impute_missing(feats, FULL_SUITE_FEATURE_NAMES)
-
-        return ela_fn
-    if kind == "handcrafted":
-
-        def handcrafted_fn(obs: Observation) -> np.ndarray:
-            return handcrafted_state(RunContext.lone(obs))
-
-        return handcrafted_fn
-    raise ConfigError(f"unknown extractor kind {kind!r}; one of {BENCH_EXTRACTORS}")
+        extractor = FullSuiteExtractor()
+    else:  # make_slot_extractor rejects an unknown kind
+        extractor = make_slot_extractor(kind, theta, analyzer_cfg)
+    return lambda obs: extractor.extract(obs)[1]
 
 
 def random_observations(
@@ -276,7 +255,7 @@ def extractor_walltime(
 def bench_grid(
     cells: Sequence[tuple[int, int]],
     runs: int = 10,
-    kinds: Sequence[str] = BENCH_EXTRACTORS,
+    kinds: Sequence[str] = EXTRACTOR_KINDS,
     analyzer_cfg: Optional[AnalyzerConfig] = None,
     theta: Optional[np.ndarray] = None,
     seed: int = 0,
@@ -361,26 +340,25 @@ def exploration_study(
         ep_seed = derive_seed(seed, "study-episode", function_id, r)
         problem = make_instance(task, function_id, inst_seed)
 
-        def record(t, obs, ctx, cfg_summary, run_index=r):
+        def record(obs, pop, cfg_summary, run_index=r):
             labels.append(label_for_strength(cfg_summary["F_mean"]))
-            neural_rows.append(extractor.extract(obs, ctx)[1])
-            ela_rows.append(classical.extract(obs, ctx)[1])
+            neural_rows.append(pop)
+            ela_rows.append(classical.extract(obs)[1])
             traj.append(run_index)
 
         run_episode(task, extractor, trained.policy, problem, ep_seed, on_step=record)
 
     traj = np.asarray(traj)
-    h = analyzer_cfg.hidden_dim
     neural_series = FeatureSeries(
         rows=np.asarray(neural_rows),
-        feature_names=tuple(f"nf_{i}" for i in range(h)),
+        feature_names=extractor.names,
         source="neural",
         labels=list(labels),
         trajectories=traj,
     )
     ela_series = FeatureSeries(
         rows=np.asarray(ela_rows),
-        feature_names=ELA_FEATURE_NAMES,
+        feature_names=classical.names,
         source="ela",
         labels=list(labels),
         trajectories=traj,

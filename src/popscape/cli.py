@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -23,7 +24,6 @@ import numpy as np
 
 from .analyzer import AnalyzerConfig, Observation, load_checkpoint
 from .analysis import (
-    BENCH_EXTRACTORS,
     bench_grid,
     correlation_to_csv,
     exploration_study,
@@ -33,9 +33,10 @@ from .analysis import (
     timings_to_csv,
     timings_to_table_csv,
 )
-from .ela import ELA_FEATURE_NAMES, HANDCRAFTED_NAMES, RunContext, features_to_csv
+from .ela import features_to_csv
 from .errors import ConfigError, IntegrityError
-from .metabbo import TaskSpec, make_slot_extractor
+from .metabbo import EXTRACTOR_KINDS, TaskSpec, make_slot_extractor
+from .problems import check_functions
 from .trainer import TrainingRunConfig, fine_tune, train, zero_shot
 from .utils import write_atomic
 
@@ -155,7 +156,7 @@ class BenchGrid:
 
     cells: tuple[list, ...]  # each [m, d]
     runs: int = 10
-    kinds: tuple[str, ...] = BENCH_EXTRACTORS
+    kinds: tuple[str, ...] = EXTRACTOR_KINDS
     checkpoint: typing.Optional[str] = None
     seed: int = 0
 
@@ -163,10 +164,12 @@ class BenchGrid:
         for i, cell in enumerate(self.cells):
             if not (len(cell) == 2 and all(type(v) is int and v > 0 for v in cell)):
                 raise ConfigError(f"grid.cells[{i}]: expected two positive ints, got {cell!r}")
+        if self.runs < 10:
+            raise ConfigError(f"grid.runs: expected at least 10, got {self.runs}")
         for i, kind in enumerate(self.kinds):
-            if kind not in BENCH_EXTRACTORS:
+            if kind not in EXTRACTOR_KINDS:
                 raise ConfigError(
-                    f"grid.kinds[{i}]: unknown extractor kind {kind!r}; one of {BENCH_EXTRACTORS}"
+                    f"grid.kinds[{i}]: unknown extractor kind {kind!r}; one of {EXTRACTOR_KINDS}"
                 )
         if self.seed < 0:
             raise ConfigError(f"grid.seed: expected a non-negative int, got {self.seed}")
@@ -192,7 +195,8 @@ class AnalyzeInputs:
 
 def parse_observation_file(path) -> list[Observation]:
     """Observation CSV: a ``# d=.. lb=.. ub=..`` header line, then columns
-    obs,x_1..x_d,y.  Rows sharing an obs id form one population."""
+    obs,x_1..x_d,y.  Rows sharing an obs id form one population.  d is
+    positive, each bound holds 1 or d values, and every number is finite."""
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
@@ -211,10 +215,13 @@ def parse_observation_file(path) -> list[Observation]:
         ub = np.array([float(v) for v in meta["ub"].split(",")])
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{path}: line 1: bad header ({exc})") from exc
-    if lb.size == 1:
-        lb = np.full(d, lb[0])
-    if ub.size == 1:
-        ub = np.full(d, ub[0])
+    if d < 1:
+        raise ConfigError(f"{path}: line 1: d must be positive, got {d}")
+    for name, bound in (("lb", lb), ("ub", ub)):
+        if bound.size not in (1, d):
+            raise ConfigError(f"{path}: line 1: {name} has {bound.size} values, expected 1 or {d}")
+        if not np.all(np.isfinite(bound)):
+            raise ConfigError(f"{path}: line 1: {name} is not finite")
     expected_cols = ["obs"] + [f"x_{j}" for j in range(1, d + 1)] + ["y"]
     if len(lines) < 2 or lines[1].split(",") != expected_cols:
         raise ConfigError(
@@ -233,6 +240,8 @@ def parse_observation_file(path) -> list[Observation]:
             values = [float(c) for c in cells[1:]]
         except ValueError as exc:
             raise ConfigError(f"{path}: line {lineno}: {exc}") from exc
+        if not all(map(math.isfinite, values)):
+            raise ConfigError(f"{path}: line {lineno}: expected finite values")
         if obs_id not in groups:
             groups[obs_id] = []
             order.append(obs_id)
@@ -308,21 +317,13 @@ def cmd_evaluate(args) -> int:
 
 def cmd_extract(args) -> int:
     observations = parse_observation_file(args.input)
-    if args.extractor == "ela":
-        extractor = make_slot_extractor("ela")
-        names = ELA_FEATURE_NAMES
-    elif args.extractor == "handcrafted":
-        extractor = make_slot_extractor("handcrafted")
-        names = HANDCRAFTED_NAMES
+    if args.extractor in ("ela", "handcrafted"):
+        extractor = make_slot_extractor(args.extractor)
     else:
         config, theta, _ = load_checkpoint(args.extractor)
         extractor = make_slot_extractor("neural", theta, config)
-        names = tuple(f"nf_{i}" for i in range(config.hidden_dim))
-    rows = []
-    for obs in observations:
-        _, pop = extractor.extract(obs, RunContext.lone(obs))
-        rows.append({name: float(v) for name, v in zip(names, pop)})
-    Path(args.output).write_text(features_to_csv(rows, names))
+    rows = [dict(zip(extractor.names, extractor.extract(obs)[1])) for obs in observations]
+    Path(args.output).write_text(features_to_csv(rows, extractor.names))
     print(f"wrote {len(rows)} feature rows to {args.output}")
     return EXIT_OK
 
@@ -352,6 +353,7 @@ def cmd_analyze(args) -> int:
     inputs = _load(args.inputs, AnalyzeInputs, "inputs")
     config, theta, _ = load_checkpoint(inputs.checkpoint)
     task = load_task_config(inputs.task)
+    check_functions([inputs.function_id], task.dimension, "inputs.function_id")
     study = exploration_study(
         task,
         theta,

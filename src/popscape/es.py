@@ -407,30 +407,25 @@ def minimize(
     """Ask/tell loop for minimization: fitness is the negated objective.
 
     ``objective`` maps a (N, D) batch to N values.  Stops on the evaluation
-    budget, the target value, or the stall detector.
+    budget, the target value, or the stall detector.  The best point is the
+    state's ``best_x``, so a non-finite value, ranked worst, is never it.
     """
     state = es_init(cfg)
     evals = 0
     trace = []
-    best_f = math.inf
-    best_x = None
     while evals + cfg.population <= max_evaluations:
         X = es_sample(state)
         values = np.asarray(objective(X), dtype=float).reshape(-1)
         evals += cfg.population
         es_update(state, X, -values)
-        gen_best = int(np.argmin(values))
-        if values[gen_best] < best_f:
-            best_f = float(values[gen_best])
-            best_x = X[gen_best].copy()
-        trace.append((state.gen, state.sigma, best_f))
-        if target is not None and best_f <= target:
+        trace.append((state.gen, state.sigma, -state.best_f))
+        if target is not None and -state.best_f <= target:
             break
         if state.stalled:
             break
     return MinimizeResult(
-        x=best_x,
-        f=best_f,
+        x=state.best_x,
+        f=-state.best_f,
         evaluations=evals,
         generations=state.gen,
         stalled=state.stalled,

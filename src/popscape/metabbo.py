@@ -18,28 +18,29 @@ from typing import Optional
 
 import numpy as np
 
-from .analyzer import Observation, PopulationEncoder
+from .analyzer import Observation, PopulationEncoder, decode_params
 from .ela import (
     ELA_FEATURE_NAMES,
+    FULL_SUITE_FEATURE_NAMES,
     HANDCRAFTED_NAMES,
     RunContext,
     ela_features,
+    full_suite_features,
     handcrafted_state,
     impute_missing,
 )
 from .errors import ConfigError
 from .es import EsConfig, es_init, es_sample, es_update
 from .optimizers import DeConfig, OptimizerState, PsoConfig, de_step, init_state, pso_step
-from .problems import NoiseModel, Problem, ProblemSpec, make_problem, sample_offset
+from .problems import NoiseModel, Problem, ProblemSpec, check_functions, make_problem, sample_offset
 from .utils import array_digest, derive_seed, layout_size, unpack
 
 Z_CAP = 10.0
 SIGMA_FLOOR = 1e-12
 
-ANALYZER_SLOTS = ("neural", "ela", "handcrafted")
-
 
 # --- feature extractors -------------------------------------------------------
+# Each names its kind and features; extract(obs, ctx) -> (per-candidate or None, pooled).
 
 
 class NeuralExtractor:
@@ -50,6 +51,7 @@ class NeuralExtractor:
     def __init__(self, net: PopulationEncoder):
         self.net = net
         self.width = net.config.hidden_dim
+        self.names = tuple(f"nf_{i}" for i in range(self.width))
 
     def extract(self, obs: Observation, ctx: Optional[RunContext] = None):
         fs = self.net.features(obs)
@@ -57,43 +59,52 @@ class NeuralExtractor:
 
 
 class ElaExtractor:
-    """Classical in-run feature concatenation; population-level only."""
+    """Classical in-run feature groups; population-level only."""
 
     name = "ela"
-    width = len(ELA_FEATURE_NAMES)
+    names = ELA_FEATURE_NAMES
+    width = len(names)
+    suite = staticmethod(ela_features)
 
     def extract(self, obs: Observation, ctx: Optional[RunContext] = None):
-        pop = impute_missing(
-            ela_features(obs.X, obs.y, obs.lb, obs.ub), ELA_FEATURE_NAMES
-        )
-        return None, pop
+        return None, impute_missing(self.suite(obs.X, obs.y, obs.lb, obs.ub), self.names)
+
+
+class FullSuiteExtractor(ElaExtractor):
+    """The offline classical suite: the in-run groups plus the meta-model,
+    level-set and PCA groups."""
+
+    names = FULL_SUITE_FEATURE_NAMES
+    width = len(names)
+    suite = staticmethod(full_suite_features)
 
 
 class HandcraftedExtractor:
-    """Eight bounded optimization-state features; population-level only."""
+    """Eight bounded optimization-state features; population-level only.
+    Without a run context the population is seen on its own."""
 
     name = "handcrafted"
-    width = len(HANDCRAFTED_NAMES)
+    names = HANDCRAFTED_NAMES
+    width = len(names)
 
-    def extract(self, obs: Observation, ctx: RunContext):
-        if ctx is None:
-            raise ConfigError("handcrafted features need the run context")
-        return None, handcrafted_state(ctx)
+    def extract(self, obs: Observation, ctx: Optional[RunContext] = None):
+        return None, handcrafted_state(RunContext.lone(obs) if ctx is None else ctx)
+
+
+EXTRACTOR_KINDS = tuple(c.name for c in (NeuralExtractor, ElaExtractor, HandcraftedExtractor))
 
 
 def make_slot_extractor(slot: str, theta=None, analyzer_cfg=None):
-    """Extractor for an analyzer slot; the neural slot needs decoded weights."""
+    """Extractor of one kind; the neural kind needs weights and an analyzer config."""
     if slot == "neural":
         if theta is None or analyzer_cfg is None:
-            raise ConfigError("the neural slot needs weights and an analyzer config")
-        from .analyzer import decode_params
-
+            raise ConfigError("the neural kind needs weights and an analyzer config")
         return NeuralExtractor(decode_params(theta, analyzer_cfg))
     if slot == "ela":
         return ElaExtractor()
     if slot == "handcrafted":
         return HandcraftedExtractor()
-    raise ConfigError(f"unknown analyzer slot {slot!r}; one of {ANALYZER_SLOTS}")
+    raise ConfigError(f"unknown extractor kind {slot!r}; one of {EXTRACTOR_KINDS}")
 
 
 # --- meta-policy ---------------------------------------------------------------
@@ -212,6 +223,8 @@ class TaskSpec:
                 )
         if not self.train_functions:
             raise ConfigError(f"task {self.id}: empty train set")
+        for name in ("train_functions", "test_functions"):
+            check_functions(getattr(self, name), self.dimension, f"task {self.id}: {name}")
         overlap = set(self.train_functions) & set(self.test_functions)
         if overlap:
             raise ConfigError(
@@ -305,7 +318,8 @@ def run_episode(
     the budget governs policy-controlled steps, so the horizon is exactly
     budget // population_size decisions.  The per-step reward is the
     improvement of the best-so-far objective normalized by the initial best
-    magnitude, floored at zero.
+    magnitude, floored at zero.  ``on_step(obs, pop, cfg_summary)``, when
+    given, sees each step's observation, pooled features and decision.
     """
     if policy.in_width != extractor.width:
         raise ConfigError(
@@ -337,7 +351,7 @@ def run_episode(
         per, pop = extractor.extract(obs, ctx)
         cfg, cfg_summary = _policy_config(task, policy, per, pop, m)
         if on_step is not None:
-            on_step(t, obs, ctx, cfg_summary)
+            on_step(obs, pop, cfg_summary)
         before = state.best_y
         if task.optimizer == "de":
             de_step(state, cfg, problem, rng)
@@ -405,7 +419,7 @@ def meta_train(
     """Optimize the policy by an inner evolution strategy on episode returns.
 
     Deterministic given (task, extractor, seed).  Returns the best policy
-    seen across all evaluated candidates, generation zero included.
+    the inner ES evaluated (its ``best_x``), or its mean when no epoch runs.
     """
     template = task.template()
     n_params = policy_param_count(template, extractor.width)
@@ -419,8 +433,6 @@ def meta_train(
         seed=derive_seed(seed, "inner-es"),
     )
     state = es_init(inner_cfg)
-    best_vec = state.mean.copy()
-    best_return = -np.inf
     fe_used = 0
     history = []
     for epoch in range(epochs):
@@ -431,15 +443,14 @@ def meta_train(
             policy = policy_decode(vec, template, extractor.width)
             returns[i], fe = mean_return(task, extractor, policy, picks)
             fe_used += fe
-        top = int(np.argmax(returns))
-        if returns[top] > best_return:
-            best_return = float(returns[top])
-            best_vec = candidates[top].copy()
         es_update(state, candidates, returns)
-        history.append((epoch, best_return))
-    policy = policy_decode(best_vec, template, extractor.width)
+        history.append((epoch, state.best_f))
+    best = state.mean if state.best_x is None else state.best_x
     return MetaTrainResult(
-        policy=policy, best_return=best_return, fe_used=fe_used, history=history
+        policy=policy_decode(best, template, extractor.width),
+        best_return=state.best_f,
+        fe_used=fe_used,
+        history=history,
     )
 
 

@@ -251,6 +251,21 @@ def _function_def(function_id: int) -> FunctionDef:
         ) from None
 
 
+def check_functions(function_ids, dimension: int, where: str) -> None:
+    """Raise ConfigError naming ``where`` unless every id is implemented and
+    defined at ``dimension``."""
+    for fid in function_ids:
+        try:
+            fdef = _function_def(fid)
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+        if dimension < fdef.min_dimension:
+            raise ConfigError(
+                f"{where}: {fdef.name} requires dimension >= {fdef.min_dimension}, "
+                f"got {dimension}"
+            )
+
+
 @dataclass
 class Problem:
     """A problem instance with evaluation accounting.
@@ -289,12 +304,8 @@ class Problem:
 
 def make_problem(spec: ProblemSpec) -> Problem:
     """Instantiate the shifted function y = f(x - O) with fresh accounting."""
+    check_functions([spec.function_id], spec.dimension, "problem")
     fdef = _function_def(spec.function_id)
-    if spec.dimension < max(1, fdef.min_dimension):
-        raise ConfigError(
-            f"{fdef.name} requires dimension >= {fdef.min_dimension}, "
-            f"got {spec.dimension}"
-        )
     if spec.offset.shape != (spec.dimension,):
         raise ConfigError(
             f"offset shape {spec.offset.shape} does not match dimension {spec.dimension}"

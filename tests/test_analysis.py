@@ -20,9 +20,15 @@ from popscape.analysis import (
     random_observations,
     timings_to_csv,
 )
-from popscape.analyzer import AnalyzerConfig, param_count
+from popscape.analyzer import AnalyzerConfig, PopulationEncoder, decode_params, param_count
 from popscape.errors import ConfigError
-from popscape.metabbo import TaskSpec
+from popscape.metabbo import (
+    EXTRACTOR_KINDS,
+    FullSuiteExtractor,
+    HandcraftedExtractor,
+    NeuralExtractor,
+    TaskSpec,
+)
 
 from .golden import DATA, study_summary
 from .reference import ref_pearson
@@ -211,6 +217,22 @@ def test_unknown_extractor_kind_rejected():
         make_bench_extractor("mystery")
 
 
+@pytest.mark.parametrize("kind", EXTRACTOR_KINDS)
+def test_bench_extractor_is_the_extractor_class_of_its_kind(rng, kind):
+    cfg = AnalyzerConfig()
+    theta = rng.normal(0.0, 0.2, param_count(cfg))
+    extractor = {
+        "neural": NeuralExtractor(decode_params(theta, cfg)),
+        "ela": FullSuiteExtractor(),
+        "handcrafted": HandcraftedExtractor(),
+    }[kind]
+    fn = make_bench_extractor(kind, cfg, theta)
+    for obs in random_observations(30, 4, 2, seed=5):
+        out = fn(obs)
+        assert out.shape == (extractor.width,) == (len(extractor.names),)
+        assert np.array_equal(out, extractor.extract(obs)[1])
+
+
 def test_single_cell_walltime():
     from popscape.analysis import extractor_walltime
 
@@ -252,6 +274,25 @@ def test_study_counts_and_shapes(rng):
     assert counts == total_steps
     text = point_cloud_csv(study.neural_projection, study.labels)
     assert len(text.splitlines()) == total_steps + 1
+
+
+def test_study_runs_one_encoder_forward_per_recorded_step(rng, monkeypatch):
+    # each recorded step ran the encoder twice: once to decide, once to record
+    import popscape.analysis as analysis
+    from popscape.metabbo import meta_train
+
+    monkeypatch.setattr(
+        analysis, "meta_train", lambda task, ext, seed: meta_train(task, ext, seed, epochs=0)
+    )
+    forward = PopulationEncoder.features
+    calls = []
+    monkeypatch.setattr(
+        PopulationEncoder, "features", lambda net, obs: calls.append(obs) or forward(net, obs)
+    )
+    task = study_task()
+    theta = rng.normal(0, 0.3, param_count(AnalyzerConfig()))
+    study = exploration_study(task, theta, AnalyzerConfig(), function_id=3, runs=2, seed=4)
+    assert len(calls) == len(study.labels) == 2 * task.horizon
 
 
 def test_study_matches_golden():

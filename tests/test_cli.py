@@ -675,3 +675,108 @@ def test_analyze_nonpositive_runs_exit_two_before_meta_training(tmp_path, capsys
     assert run_with_config(tmp_path, "analyze", data) == EXIT_CONFIG
     assert f"inputs.runs: expected a positive int, got {runs}" in capsys.readouterr().err
     assert trained == []
+
+
+@pytest.mark.parametrize("runs", [9, 0])
+def test_bench_runs_below_ten_exit_two_before_any_extractor_is_built(tmp_path, capsys, monkeypatch, runs):
+    # every extractor was built and warmed up before bench_walltime exited 2
+    import popscape.analysis as analysis
+
+    built = forbid(monkeypatch, analysis, "make_bench_extractor")
+    data = dict(full_grid(), runs=runs)
+    assert run_with_config(tmp_path, "bench", data) == EXIT_CONFIG
+    assert f"grid.runs: expected at least 10, got {runs}" in capsys.readouterr().err
+    assert built == [] and not (tmp_path / "t.csv").exists()
+
+
+BAD_FUNCTIONS = [
+    ("test_functions", 4, "unknown function id 4"),
+    ("train_functions", 8, "rosenbrock requires dimension >= 2, got 1"),
+]
+
+
+@pytest.mark.parametrize("field,fid,message", BAD_FUNCTIONS, ids=["unimplemented", "too_few_dims"])
+def test_evaluate_bad_function_id_exit_two_before_meta_training(tmp_path, capsys, monkeypatch, field, fid, message):
+    # evaluate meta-trained and ran test episodes before make_instance raised
+    import popscape.metabbo as metabbo
+
+    trained = forbid(monkeypatch, metabbo, "meta_train")
+    data = dict(full_task(), dimension=1, **{field: [fid]})
+    assert run_with_config(tmp_path, "evaluate", data) == EXIT_CONFIG
+    assert f"task de_full: {field}: {message}" in capsys.readouterr().err
+    assert trained == []
+
+
+@pytest.mark.parametrize("field,fid,message", BAD_FUNCTIONS, ids=["unimplemented", "too_few_dims"])
+def test_analyze_bad_function_id_exit_two_before_meta_training(tmp_path, capsys, monkeypatch, field, fid, message):
+    # exploration_study meta-trained before make_instance raised
+    import popscape.analysis as analysis
+
+    trained = forbid(monkeypatch, analysis, "meta_train")
+    data = dict(full_inputs(tmp_path), function_id=fid)
+    Path(data["task"]).write_text(json.dumps(dict(full_task(), dimension=1)))
+    assert run_with_config(tmp_path, "analyze", data) == EXIT_CONFIG
+    assert f"inputs.function_id: {message}" in capsys.readouterr().err
+    assert trained == []
+
+
+# --- observation files rejected before any extraction ------------------------------
+
+EXTRACTORS = {"neural": str(GOLDEN_CHECKPOINT), "ela": "ela", "handcrafted": "handcrafted"}
+
+
+def extract(path, kind, out) -> int:
+    return main(["extract", "--extractor", EXTRACTORS[kind], "--input", str(path), "--output", str(out)])
+
+
+@pytest.mark.parametrize("place,line", [("x", 3), ("y", 4), ("bound", 1)])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kind", EXTRACTORS)
+def test_extract_non_finite_value_exit_two_naming_line(tmp_path, capsys, kind, value, place, line):
+    # a nan objective wrote nan neural features and a plausible handcrafted
+    # row with exit 0 and exited 3 for ela; a nan bound or inf position wrote
+    # nan rows with exit 0
+    path = obs_file(tmp_path)
+    lines = path.read_text().splitlines()
+    if place == "bound":
+        lines[0] = lines[0].replace("lb=-5.0", f"lb={value}")
+    else:
+        cells = lines[line - 1].split(",")
+        cells[1 if place == "x" else -1] = value
+        lines[line - 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "f.csv"
+    assert extract(path, kind, out) == EXIT_CONFIG
+    assert f"{path}: line {line}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bound", ["lb", "ub"])
+def test_extract_bound_count_neither_one_nor_d_exit_two_naming_line_1(tmp_path, capsys, bound):
+    # exited 3 with numpy's broadcast message
+    header = "# d=3 lb=-5.0 ub=5.0".replace(f"{bound}=", f"{bound}=0.0,")
+    path = tmp_path / "obs.csv"
+    path.write_text(header + "\nobs,x_1,x_2,x_3,y\n0,1,2,3,4\n0,0,0,0,1\n")
+    assert extract(path, "ela", tmp_path / "f.csv") == EXIT_CONFIG
+    assert f"{path}: line 1: {bound} has 2 values, expected 1 or 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_extract_nonpositive_dimension_exit_two_naming_line_1(tmp_path, capsys, d):
+    # d=0 exited 3 with "float division by zero"; d=-1 blamed line 3's columns
+    path = tmp_path / "obs.csv"
+    path.write_text(f"# d={d} lb=-5.0 ub=5.0\nobs,y\n0,1.0\n0,2.0\n")
+    assert extract(path, "handcrafted", tmp_path / "f.csv") == EXIT_CONFIG
+    assert f"{path}: line 1: d must be positive, got {d}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", EXTRACTORS)
+def test_extract_single_value_bounds_apply_to_every_dimension(tmp_path, kind):
+    full = obs_file(tmp_path)
+    single = tmp_path / "single.csv"
+    lines = full.read_text().splitlines()
+    single.write_text("\n".join(["# d=3 lb=-5.0 ub=5.0"] + lines[1:]) + "\n")
+    assert lines[0] == "# d=3 lb=-5.0,-5.0,-5.0 ub=5.0,5.0,5.0"
+    outs = [tmp_path / "full_f.csv", tmp_path / "single_f.csv"]
+    assert extract(full, kind, outs[0]) == extract(single, kind, outs[1]) == EXIT_OK
+    assert outs[0].read_text() == outs[1].read_text()

@@ -250,6 +250,23 @@ def test_sep_cmaes_beats_full_on_separable_ellipsoid():
     assert wins >= 7
 
 
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_minimize_returns_the_best_point_evaluated(variant):
+    seen = []
+
+    def recorded(X):
+        seen.append((X.copy(), sphere(X)))
+        return seen[-1][1]
+
+    cfg = EsConfig(variant=variant, dim=3, population=6, seed=4)
+    result = minimize(recorded, cfg, 120)
+    X, values = map(np.concatenate, zip(*seen))
+    best = int(np.argmin(values))
+    assert result.f == values[best] and np.array_equal(result.x, X[best])
+    running = np.minimum.accumulate([v.min() for _, v in seen])
+    assert [f for _, _, f in result.trace] == list(running)
+
+
 def test_minimize_trace_exports_csv():
     cfg = EsConfig(variant="cmaes", dim=2, population=8, seed=0)
     result = minimize(sphere, cfg, 500)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from popscape.analyzer import AnalyzerConfig, decode_params, param_count
+from popscape.analyzer import AnalyzerConfig, Observation, decode_params, param_count
 from popscape.errors import ConfigError
 from popscape.metabbo import (
     BaselineStats,
     ElaExtractor,
+    HandcraftedExtractor,
     MetaPolicy,
     NeuralExtractor,
     PolicyTemplate,
@@ -286,6 +287,7 @@ def test_meta_train_zero_epochs_returns_initial_policy():
     result = meta_train(task, extractor, seed=5, epochs=0)
     assert np.all(policy_encode(result.policy) == 0.0)
     assert result.fe_used == 0
+    assert result.best_return == -np.inf and result.history == []
 
 
 def test_meta_train_returns_best_so_far():
@@ -424,6 +426,15 @@ def test_slot_extractor_factory():
         make_slot_extractor("neural")
     with pytest.raises(ConfigError):
         make_slot_extractor("mystery")
+
+
+def test_handcrafted_without_context_sees_the_population_alone(rng):
+    from popscape.ela import RunContext, handcrafted_state
+
+    obs = Observation(X=rng.uniform(-5, 5, (12, 3)), y=rng.normal(size=12), lb=-5.0, ub=5.0)
+    per, pop = HandcraftedExtractor().extract(obs)
+    assert per is None
+    assert np.array_equal(pop, handcrafted_state(RunContext.lone(obs)))
 
 
 def test_instance_derivation_deterministic():
