@@ -195,8 +195,9 @@ class AnalyzeInputs:
 
 def parse_observation_file(path) -> list[Observation]:
     """Observation CSV: a ``# d=.. lb=.. ub=..`` header line, then columns
-    obs,x_1..x_d,y.  Rows sharing an obs id form one population.  d is
-    positive, each bound holds 1 or d values, and every number is finite."""
+    obs,x_1..x_d,y.  Rows sharing an obs id form one population of at least
+    2 rows.  d is positive, each bound holds 1 or d values, lb < ub in every
+    dimension, and every number is finite."""
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
@@ -222,13 +223,15 @@ def parse_observation_file(path) -> list[Observation]:
             raise ConfigError(f"{path}: line 1: {name} has {bound.size} values, expected 1 or {d}")
         if not np.all(np.isfinite(bound)):
             raise ConfigError(f"{path}: line 1: {name} is not finite")
+    if np.any(lb >= ub):
+        raise ConfigError(f"{path}: line 1: bounds must satisfy lb < ub in every dimension")
     expected_cols = ["obs"] + [f"x_{j}" for j in range(1, d + 1)] + ["y"]
     if len(lines) < 2 or lines[1].split(",") != expected_cols:
         raise ConfigError(
             f"{path}: line 2: expected header {','.join(expected_cols)}"
         )
     groups: dict[int, list[list[float]]] = {}
-    order: list[int] = []
+    first_line: dict[int, int] = {}
     for lineno, line in enumerate(lines[2:], start=3):
         if not line.strip():
             continue
@@ -242,13 +245,14 @@ def parse_observation_file(path) -> list[Observation]:
             raise ConfigError(f"{path}: line {lineno}: {exc}") from exc
         if not all(map(math.isfinite, values)):
             raise ConfigError(f"{path}: line {lineno}: expected finite values")
-        if obs_id not in groups:
-            groups[obs_id] = []
-            order.append(obs_id)
-        groups[obs_id].append(values)
+        first_line.setdefault(obs_id, lineno)
+        groups.setdefault(obs_id, []).append(values)
     observations = []
-    for obs_id in order:
-        rows = np.asarray(groups[obs_id])
+    for obs_id, rows in groups.items():
+        if len(rows) < 2:
+            line = first_line[obs_id]
+            raise ConfigError(f"{path}: line {line}: observation {obs_id} needs at least 2 candidates")
+        rows = np.asarray(rows)
         observations.append(
             Observation(X=rows[:, :d], y=rows[:, d], lb=lb, ub=ub)
         )

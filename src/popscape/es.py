@@ -201,7 +201,8 @@ def _rank_order(fitness: np.ndarray) -> np.ndarray:
     return np.argsort(-fitness, kind="stable")
 
 
-def _sanitize_fitness(fitness: np.ndarray) -> np.ndarray:
+def sanitize_fitness(fitness: np.ndarray) -> np.ndarray:
+    """Fitness as ranked: every non-finite value becomes -inf, the worst rank."""
     fitness = np.asarray(fitness, dtype=float).reshape(-1)
     bad = ~np.isfinite(fitness)
     if np.any(bad):
@@ -232,7 +233,7 @@ def es_update(state: EsState, candidates: np.ndarray, fitness: np.ndarray) -> Es
     """One adaptation step from an evaluated generation (maximization)."""
     cfg = state.cfg
     candidates = np.asarray(candidates, dtype=float)
-    fitness = _sanitize_fitness(fitness)
+    fitness = sanitize_fitness(fitness)
     if candidates.shape[0] != fitness.shape[0]:
         raise ConfigError("candidate and fitness counts differ")
     n = candidates.shape[0]

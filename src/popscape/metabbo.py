@@ -284,7 +284,8 @@ class EpisodeResult:
 def _policy_config(
     task: TaskSpec, policy: MetaPolicy, per: Optional[np.ndarray], pop: np.ndarray, m: int
 ):
-    """Map extracted features to an optimizer config via the policy.
+    """Map extracted features to an optimizer config via the policy, or to
+    (None, {}) when a feature or a policy output is not finite.
 
     Extractors without per-candidate features broadcast the population
     feature, which collapses per-individual control to a uniform setting.
@@ -294,6 +295,8 @@ def _policy_config(
     else:
         feats = pop[None, :]
     out = policy.raw_outputs(feats)
+    if not (np.isfinite(feats).all() and np.isfinite(out).all()):
+        return None, {}
     if task.optimizer == "de":
         return DeConfig(F=out[:, 0], Cr=out[:, 1]), {
             "F_mean": float(out[:, 0].mean()),
@@ -318,8 +321,10 @@ def run_episode(
     the budget governs policy-controlled steps, so the horizon is exactly
     budget // population_size decisions.  The per-step reward is the
     improvement of the best-so-far objective normalized by the initial best
-    magnitude, floored at zero.  ``on_step(obs, pop, cfg_summary)``, when
-    given, sees each step's observation, pooled features and decision.
+    magnitude, floored at zero; a non-finite feature or control ends the
+    episode with reward and ``f_star`` NaN.  ``fe_used`` is what the problem
+    counted after the initial population.  ``on_step(obs, pop, cfg_summary)``,
+    when given, sees each step's observation, pooled features and decision.
     """
     if policy.in_width != extractor.width:
         raise ConfigError(
@@ -329,12 +334,12 @@ def run_episode(
     rng = np.random.Generator(np.random.PCG64(seed))
     m = task.population_size
     state: OptimizerState = init_state(problem, m, rng)
-    best0 = state.best_y
-    denom = max(abs(best0), 1e-12)
+    fe0 = problem.fe_count
+    denom = max(abs(state.best_y), 1e-12)
     worst_so_far = float(np.max(state.y))
     prev_best = state.best_y
     steps_since_improvement = 0
-    result = EpisodeResult(f_star=state.best_y, fe_used=0)
+    result = EpisodeResult(f_star=np.nan, fe_used=0)
     for t in range(task.horizon):
         obs = Observation(
             X=state.X.copy(), y=state.y.copy(), lb=problem.lower, ub=problem.upper
@@ -350,6 +355,9 @@ def run_episode(
         )
         per, pop = extractor.extract(obs, ctx)
         cfg, cfg_summary = _policy_config(task, policy, per, pop, m)
+        if cfg is None:
+            result.steps.append(StepRecord(array_digest(state.X), cfg_summary, np.nan))
+            break
         if on_step is not None:
             on_step(obs, pop, cfg_summary)
         before = state.best_y
@@ -363,11 +371,12 @@ def run_episode(
             0 if state.best_y < before else steps_since_improvement + 1
         )
         prev_best = before
-        result.fe_used += m
         result.steps.append(
             StepRecord(digest=array_digest(state.X), config=cfg_summary, reward=reward)
         )
-    result.f_star = state.best_y
+    else:  # every step ran
+        result.f_star = state.best_y
+    result.fe_used = problem.fe_count - fe0
     return result
 
 
@@ -499,31 +508,35 @@ def z_score(f_star: float, mu_p: float, sigma_p: float) -> float:
 
 def run_test_episodes(
     task: TaskSpec, extractor, policy: MetaPolicy, q_runs: int, seed_base: int
-) -> dict[int, np.ndarray]:
-    """Final objective per (test problem, run), with canonical seed derivation.
+) -> tuple[dict[int, np.ndarray], int]:
+    """Final objective per (test problem, run) under canonical seeds, and the FEs spent.
 
     Both the baseline and candidate evaluations go through this helper, so a
     shared seed base reproduces identical problem instances and episodes.
     """
     out = {}
+    fe_used = 0
     for fid in task.test_functions:
         values = np.empty(q_runs)
         for q in range(q_runs):
             inst_seed = derive_seed(seed_base, task.id, "test-instance", fid, q)
             ep_seed = derive_seed(seed_base, task.id, "test-episode", fid, q)
             problem = make_instance(task, fid, inst_seed)
-            values[q] = run_episode(task, extractor, policy, problem, ep_seed).f_star
+            ep = run_episode(task, extractor, policy, problem, ep_seed)
+            values[q] = ep.f_star
+            fe_used += ep.fe_used
         out[fid] = values
-    return out
+    return out, fe_used
 
 
 def train_and_test(
     task: TaskSpec, extractor, q_runs: int, seed_base: int
-) -> tuple[MetaTrainResult, dict[int, np.ndarray]]:
+) -> tuple[MetaTrainResult, dict[int, np.ndarray], int]:
     """Meta-train a policy on the extractor's features under the canonical
     seed, then run the test episodes with it."""
     trained = meta_train(task, extractor, seed=derive_seed(seed_base, task.id, "metatrain"))
-    return trained, run_test_episodes(task, extractor, trained.policy, q_runs, seed_base)
+    fstars, fe_test = run_test_episodes(task, extractor, trained.policy, q_runs, seed_base)
+    return trained, fstars, fe_test
 
 
 def baseline_extractor() -> HandcraftedExtractor:
@@ -532,7 +545,7 @@ def baseline_extractor() -> HandcraftedExtractor:
 
 def compute_baseline(task: TaskSpec, q_runs: int, seed_base: int) -> BaselineStats:
     """Meta-train the baseline pipeline once and freeze its test statistics."""
-    _, fstars = train_and_test(task, baseline_extractor(), q_runs, seed_base)
+    _, fstars, _ = train_and_test(task, baseline_extractor(), q_runs, seed_base)
     stats = {
         fid: (float(np.mean(v)), float(np.std(v))) for fid, v in fstars.items()
     }
@@ -579,12 +592,12 @@ def relative_performance(
         raise ConfigError(
             f"baseline stats for task {task.id} missing problems {missing}"
         )
-    trained, fstars = train_and_test(task, extractor, q_runs, seed_base)
+    trained, fstars, fe_test = train_and_test(task, extractor, q_runs, seed_base)
     value, per_problem, z_table = upsilon_from_fstars(task, baseline, fstars)
     return UpsilonResult(
         value=value,
         per_problem=per_problem,
         z_table=z_table,
         fe_meta_train=trained.fe_used,
-        fe_test=q_runs * len(task.test_functions) * task.budget,
+        fe_test=fe_test,
     )

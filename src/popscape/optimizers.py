@@ -72,16 +72,11 @@ class OptimizerState:
 
     X: np.ndarray
     y: np.ndarray
-    t: int = 0
     best_x: np.ndarray = None
     best_y: float = np.inf
     velocities: Optional[np.ndarray] = field(default=None, repr=False)
     personal_best_x: Optional[np.ndarray] = field(default=None, repr=False)
     personal_best_y: Optional[np.ndarray] = field(default=None, repr=False)
-
-    @property
-    def size(self) -> int:
-        return self.X.shape[0]
 
 
 def init_state(problem: Problem, m: int, rng: np.random.Generator) -> OptimizerState:
@@ -137,7 +132,6 @@ def de_step(
     if state.y[best] < state.best_y:
         state.best_y = float(state.y[best])
         state.best_x = state.X[best].copy()
-    state.t += 1
     return state
 
 
@@ -170,5 +164,4 @@ def pso_step(
     if state.personal_best_y[best] < state.best_y:
         state.best_y = float(state.personal_best_y[best])
         state.best_x = state.personal_best_x[best].copy()
-    state.t += 1
     return state

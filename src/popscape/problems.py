@@ -10,7 +10,6 @@ train/test splits can be expressed as id sets.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -271,13 +270,11 @@ class Problem:
     """A problem instance with evaluation accounting.
 
     Single-writer: one optimization run owns one instance.  ``fe_count``
-    grows by exactly the batch size on every evaluation, and ``best_so_far``
-    is non-increasing (minimization).
+    grows by exactly the batch size on every evaluation.
     """
 
     spec: ProblemSpec
     fe_count: int = 0
-    best_so_far: float = math.inf
     _evaluate: Callable[[np.ndarray], np.ndarray] = field(repr=False, default=None)
     _rng: np.random.Generator = field(repr=False, default=None)
     _slope_corner: Optional[np.ndarray] = field(repr=False, default=None)
@@ -337,7 +334,4 @@ def evaluate_batch(problem: Problem, X: np.ndarray) -> np.ndarray:
     if problem.spec.noise is not None:
         y = problem.spec.noise.apply(y, problem._rng)
     problem.fe_count += m
-    best = float(np.min(y))
-    if best < problem.best_so_far:
-        problem.best_so_far = best
     return y

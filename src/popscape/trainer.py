@@ -25,7 +25,9 @@ import numpy as np
 
 from .analyzer import AnalyzerConfig, decode_params, param_count, save_checkpoint
 from .errors import ConfigError, IntegrityError
-from .es import EsConfig, es_init, es_sample, es_update, state_from_dict, state_to_dict
+from .es import (
+    EsConfig, es_init, es_sample, es_update, sanitize_fitness, state_from_dict, state_to_dict
+)
 from .metabbo import (
     BaselineStats,
     NeuralExtractor,
@@ -46,7 +48,6 @@ from .metabbo import meta_train, run_episode  # noqa: F401
 from .utils import (
     array_digest,
     derive_seed,
-    f8_from_b64,
     f8_to_b64,
     json_sha256,
     read_json_object,
@@ -176,10 +177,9 @@ def pipeline_score(
     return relative_performance(extractor, task, baseline, q_runs, seed_base)
 
 
-def _pipeline_worker(payload) -> tuple[int, str, float, int, int]:
-    cand_idx, theta, analyzer_cfg, task, baseline, q_runs, seed_base = payload
-    result = pipeline_score(theta, analyzer_cfg, task, baseline, q_runs, seed_base)
-    return cand_idx, task.id, result.value, result.fe_meta_train, result.fe_test
+def _pipeline_worker(payload) -> tuple[float, int, int]:
+    result = pipeline_score(*payload)
+    return result.value, result.fe_meta_train, result.fe_test
 
 
 # --- training loop --------------------------------------------------------------
@@ -229,6 +229,18 @@ def _write_history(outdir: Path, records: list, n: int) -> None:
 
 def _checkpoint_path(outdir: Path, generation: int) -> Path:
     return outdir / "checkpoints" / f"gen_{generation:04d}.json"
+
+
+def _best_candidate(state, initial_mean) -> dict:
+    """The ES's best candidate as the checkpoint's ``best`` entry; before any
+    finite fitness, the initial mean at generation -1."""
+    found = state.best_x is not None
+    return {
+        "fitness": state.best_f,
+        "generation": state.gen - 1 - state.gens_since_improvement,
+        "digest": array_digest(state.best_x) if found else "",
+        "theta": state.best_x if found else initial_mean,
+    }
 
 
 def _save_trainer_checkpoint(outdir, run, state, best, records, generation) -> None:
@@ -281,7 +293,10 @@ def train(
         run.tasks, run.q_runs, run.seed, cache_path=outdir / "baselines.json"
     )
 
+    state = es_init(run.es_config())
+    initial_mean = state.mean
     records: list[GenerationRecord] = []
+    start_gen = 0
     if resume:
         ckpt_file = latest_checkpoint(outdir)
         if ckpt_file is None:
@@ -292,68 +307,47 @@ def train(
                 "checkpoint was produced by a different run configuration"
             )
         state = state_from_dict(payload["es_state"])
-        best = dict(payload["best"])
-        best["theta"] = f8_from_b64(best.pop("theta_b64"))
         records = [GenerationRecord(**r) for r in payload["records"]]
         start_gen = payload["generation"] + 1
         # Mends a history write torn after its checkpoint was written.
         _write_history(outdir, records, run.outer_population)
-    else:
-        state = es_init(run.es_config())
-        best = {"fitness": -np.inf, "generation": -1, "digest": "", "theta": state.mean}
-        start_gen = 0
 
     n = run.outer_population
     for gen in range(start_gen, run.max_generations):
         t0 = time.perf_counter()
         candidates = es_sample(state, n)
-        units = []
-        for i in range(n):
-            seed_base = derive_seed(run.seed, "fitness", gen, i)
-            for task in run.tasks:
-                baseline = baselines[task.id]
-                units.append(
-                    (i, candidates[i], run.analyzer, task, baseline, run.q_runs, seed_base)
-                )
+        units = [
+            (theta, run.analyzer, task, baselines[task.id], run.q_runs,
+             derive_seed(run.seed, "fitness", gen, i))
+            for i, theta in enumerate(candidates)
+            for task in run.tasks
+        ]
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 results = list(pool.map(_pipeline_worker, units))
         else:
             results = [_pipeline_worker(u) for u in units]
-
-        per_cand = {i: {} for i in range(n)}
-        fe_meta = fe_test = 0
-        for cand_idx, task_id, value, fe_mt, fe_te in results:
-            per_cand[cand_idx][task_id] = value
-            fe_meta += fe_mt
-            fe_test += fe_te
-        task_order = [t.id for t in run.tasks]
-        fits = np.array(
-            [np.mean([per_cand[i][tid] for tid in task_order]) for i in range(n)]
-        )
-        top = int(np.argmax(fits))
-        if fits[top] > best["fitness"]:
-            best = {
-                "fitness": float(fits[top]),
-                "generation": gen,
-                "digest": array_digest(candidates[top]),
-                "theta": candidates[top].copy(),
-            }
-        es_update(state, candidates, fits)
+        # Candidate-major, task-minor: row i holds candidate i's task scores.
+        values, fe_meta, fe_test = zip(*results)
+        fits = np.mean(np.reshape(values, (n, len(run.tasks))), axis=1)
+        ranked = sanitize_fitness(fits)
+        es_update(state, candidates, ranked)
+        best = _best_candidate(state, initial_mean)
         record = GenerationRecord(
             generation=gen,
             fitness=[float(v) for v in fits],
-            gen_best=float(fits[top]),
+            gen_best=float(ranked.max()),
             best_so_far=best["fitness"],
             best_digest=best["digest"],
-            fe_meta_train=fe_meta,
-            fe_test=fe_test,
+            fe_meta_train=sum(fe_meta),
+            fe_test=sum(fe_test),
             wall_time=time.perf_counter() - t0,
         )
         records.append(record)
         _save_trainer_checkpoint(outdir, run, state, best, records, gen)
         _write_history(outdir, records, n)
 
+    best = _best_candidate(state, initial_mean)
     save_checkpoint(
         outdir / "analyzer_best.json",
         run.analyzer,
@@ -423,7 +417,7 @@ def fine_tune(
     if baseline is None:
         baseline = compute_baseline(task, q_runs, derive_seed(seed, "baseline"))
     extractor0 = NeuralExtractor(decode_params(theta, analyzer_cfg))
-    trained, fstars0 = train_and_test(task, extractor0, q_runs, seed_base)
+    trained, fstars0, _ = train_and_test(task, extractor0, q_runs, seed_base)
     ups0, per_problem, z_table = upsilon_from_fstars(task, baseline, fstars0)
 
     theta = np.asarray(theta, dtype=float)
@@ -451,8 +445,9 @@ def fine_tune(
         returns = np.empty(population)
         for i, joint in enumerate(candidates):
             returns[i], _ = mean_return(task, *decode(joint), picks)
+        returns = sanitize_fitness(returns)
         ext, pol = decode(candidates[int(np.argmax(returns))])
-        fstars = run_test_episodes(task, ext, pol, q_runs, seed_base)
+        fstars, _ = run_test_episodes(task, ext, pol, q_runs, seed_base)
         ups_e, pp_e, zt_e = upsilon_from_fstars(task, baseline, fstars)
         if ups_e > best_ups:
             best_ups = ups_e

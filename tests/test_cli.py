@@ -770,6 +770,31 @@ def test_extract_nonpositive_dimension_exit_two_naming_line_1(tmp_path, capsys, 
     assert f"{path}: line 1: d must be positive, got {d}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bounds", ["lb=5.0 ub=-5.0", "lb=-5.0,1.0,-5.0 ub=5.0,1.0,5.0"])
+@pytest.mark.parametrize("rows", [["0,1,2,3,4", "0,0,0,0,1"], []], ids=["rows", "header_only"])
+def test_extract_bounds_not_ordered_exit_two_naming_line_1(tmp_path, capsys, bounds, rows):
+    # named neither the file nor the line; a header-only file exited 0 and
+    # wrote a header-only CSV
+    path = tmp_path / "obs.csv"
+    path.write_text("\n".join([f"# d=3 {bounds}", "obs,x_1,x_2,x_3,y", *rows]) + "\n")
+    out = tmp_path / "f.csv"
+    assert extract(path, "handcrafted", out) == EXIT_CONFIG
+    assert f"{path}: line 1: bounds must satisfy lb < ub" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_extract_single_row_population_exit_two_naming_obs_and_line(tmp_path, capsys):
+    # printed "observation needs at least 2 candidates" without file, line or obs id
+    path = tmp_path / "obs.csv"
+    path.write_text(
+        "# d=3 lb=-5.0 ub=5.0\nobs,x_1,x_2,x_3,y\n0,1,2,3,4\n7,1,1,1,1\n0,0,0,0,1\n"
+    )
+    out = tmp_path / "f.csv"
+    assert extract(path, "ela", out) == EXIT_CONFIG
+    assert f"{path}: line 4: observation 7 needs at least 2 candidates" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind", EXTRACTORS)
 def test_extract_single_value_bounds_apply_to_every_dimension(tmp_path, kind):
     full = obs_file(tmp_path)

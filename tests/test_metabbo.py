@@ -16,6 +16,7 @@ from popscape.metabbo import (
     TaskSpec,
     baseline_extractor,
     compute_baseline,
+    episode_return,
     make_instance,
     meta_train,
     policy_decode,
@@ -28,6 +29,9 @@ from popscape.metabbo import (
     run_test_episodes,
     z_score,
 )
+from popscape import metabbo, optimizers
+from popscape.optimizers import init_state
+from popscape.problems import evaluate_batch
 from popscape.utils import derive_seed
 
 from .golden import DATA, desk_episode
@@ -193,7 +197,17 @@ def test_frozen_swarm_yields_constant_zero_rewards():
     assert all(s.reward == 0.0 for s in result.steps)
 
 
-def test_episode_final_value_no_worse_than_start():
+def test_episode_final_value_no_worse_than_start(monkeypatch):
+    """f_star is the smallest value the episode evaluated, initial population
+    included."""
+    evaluated = []
+
+    def spy(problem, X):
+        y = evaluate_batch(problem, X)
+        evaluated.extend(y)
+        return y
+
+    monkeypatch.setattr(optimizers, "evaluate_batch", spy)
     task = small_task(budget=400)
     extractor = neural_extractor()
     policy = policy_decode(
@@ -201,11 +215,9 @@ def test_episode_final_value_no_worse_than_start():
         task.template(),
         extractor.width,
     )
-    problem = make_instance(task, 1, 7)
-    result = run_episode(task, extractor, policy, problem, seed=11)
-    first_digest_value = problem.best_so_far
-    assert result.f_star <= first_digest_value
-    assert result.f_star == problem.best_so_far
+    result = run_episode(task, extractor, policy, make_instance(task, 1, 7), seed=11)
+    assert len(evaluated) == (task.horizon + 1) * task.population_size
+    assert result.f_star == min(evaluated)
 
 
 def test_episode_deterministic():
@@ -226,6 +238,105 @@ def test_episode_deterministic():
     assert a.f_star == b.f_star
     assert [s.digest for s in a.steps] == [s.digest for s in b.steps]
     assert [s.reward for s in a.steps] == [s.reward for s in b.steps]
+
+
+class InfFeatureAtStep(HandcraftedExtractor):
+    """Handcrafted features whose first one is +inf from step ``t`` on; the
+    policy's tanh squashes it to finite controls."""
+
+    def __init__(self, t):
+        self.t = t
+
+    def extract(self, obs, ctx=None):
+        per, pop = super().extract(obs, ctx)
+        if ctx.t >= self.t:
+            pop[0] = np.inf
+        return per, pop
+
+
+@pytest.mark.parametrize("optimizer", ["de", "pso"])
+@pytest.mark.parametrize("source", ["features", "controls"])
+def test_non_finite_features_or_controls_end_the_episode(optimizer, source):
+    # A NaN last b2 entry ran DE with Cr as 0 and left PSO at its initial
+    # best, and an inf feature ran on finite controls, all with a finite f_star.
+    task = small_task(id=f"{optimizer}_nonfinite", optimizer=optimizer)
+    template = task.template()
+    extractor = InfFeatureAtStep(2) if source == "features" else baseline_extractor()
+    policy = policy_decode(
+        np.random.default_rng(3).normal(0, 1, policy_param_count(template, extractor.width)),
+        template,
+        extractor.width,
+    )
+    if source == "controls":
+        policy.b2[-1] = np.nan
+    ended = 2 if source == "features" else 0
+    result = run_episode(task, extractor, policy, make_instance(task, 1, 2), seed=4)
+    assert len(result.steps) == ended + 1
+    assert [np.isnan(s.reward) for s in result.steps] == [False] * ended + [True]
+    assert np.isnan(result.f_star) and np.isnan(episode_return(result))
+    assert result.fe_used == ended * task.population_size
+
+
+@given(
+    scale=st.sampled_from([1e-3, 1.0, 1e3, 1e150]),
+    optimizer=st.sampled_from(["de", "pso"]),
+    dimension=st.sampled_from([1, 3]),
+    m=st.sampled_from([4, 6]),
+    seed=st.integers(0, 2**16),
+)
+def test_episode_ends_at_the_first_non_finite_decision(scale, optimizer, dimension, m, seed):
+    """Across weight scales, m=4 and d=1: the episode runs while every
+    feature and control is finite and ends at the first step where one is
+    not, with that step's reward and f_star NaN."""
+    task = small_task(
+        id=f"{optimizer}_scaled", optimizer=optimizer, dimension=dimension,
+        population_size=m, budget=3 * m,
+    )
+    rng = np.random.default_rng(seed)
+    cfg = AnalyzerConfig()
+    extractor = NeuralExtractor(decode_params(rng.normal(0, scale, param_count(cfg)), cfg))
+    template = task.template()
+    policy = policy_decode(
+        rng.normal(0, scale, policy_param_count(template, extractor.width)),
+        template,
+        extractor.width,
+    )
+    finite = []  # per policy call: were its features and outputs all finite
+    raw_outputs = policy.raw_outputs
+
+    def spy(features):
+        out = raw_outputs(features)
+        finite.append(bool(np.isfinite(features).all() and np.isfinite(out).all()))
+        return out
+
+    policy.raw_outputs = spy
+    with np.errstate(all="ignore"):
+        result = run_episode(task, extractor, policy, make_instance(task, 1, seed), seed=seed)
+    ended = not all(finite)
+    assert finite == [True] * (len(finite) - ended) + [False] * ended
+    assert [not np.isnan(s.reward) for s in result.steps] == finite
+    assert np.isnan(result.f_star) == ended
+    assert result.fe_used == m * (len(finite) - ended)
+
+
+def test_meta_train_never_returns_a_non_finite_policy(monkeypatch):
+    """Candidates whose decoded policy has a NaN output bias score NaN, which
+    the inner ES ranks worst, so none of them is the returned policy."""
+    # With Cr as 0, such a DE candidate scored a finite return and, at this
+    # seed, the best one.
+    decode = metabbo.policy_decode
+
+    def poisoned(vector, template, in_width):
+        policy = decode(vector, template, in_width)
+        if vector[0] > 0:
+            policy.b2[-1] = np.nan
+        return policy
+
+    monkeypatch.setattr(metabbo, "policy_decode", poisoned)
+    task = small_task(inner_epochs=3)
+    result = meta_train(task, baseline_extractor(), seed=7)
+    assert np.isfinite(result.best_return)
+    assert np.all(np.isfinite(policy_encode(result.policy)))
 
 
 @pytest.mark.parametrize("optimizer", ["de", "pso"])
@@ -314,6 +425,36 @@ def test_meta_train_fe_accounting():
     assert result.fe_used == 2 * 4 * 1 * task.budget
 
 
+def test_relative_performance_fe_counts_step_evaluations(monkeypatch):
+    """Both FE columns are the step evaluations spent: the initial
+    populations are bookkept outside, and a budget that is not a multiple of
+    the population leaves its remainder unspent."""
+    spent = {"meta": 0, "test": 0}
+    phase = ["meta"]
+
+    def spy_evaluate(problem, X):
+        y = evaluate_batch(problem, X)
+        spent[phase[0]] += len(y)
+        return y
+
+    def spy_init(problem, m, rng):
+        spent[phase[0]] -= m
+        return init_state(problem, m, rng)
+
+    def spy_test(*args):
+        phase[0] = "test"
+        return run_test_episodes(*args)
+
+    monkeypatch.setattr(optimizers, "evaluate_batch", spy_evaluate)
+    monkeypatch.setattr(metabbo, "init_state", spy_init)
+    monkeypatch.setattr(metabbo, "run_test_episodes", spy_test)
+    task = small_task(budget=40, population_size=6, test_functions=(3, 20))
+    baseline = BaselineStats(task.id, 2, 0, {3: (0.0, 1.0), 20: (0.0, 1.0)})
+    result = relative_performance(baseline_extractor(), task, baseline, 2, seed_base=9)
+    assert spent == {"meta": 4 * 6 * 6, "test": 2 * 2 * 6 * 6}
+    assert (result.fe_meta_train, result.fe_test) == (spent["meta"], spent["test"])
+
+
 @pytest.mark.slow
 def test_trained_de_policy_beats_fixed_config_on_sphere():
     """Oracle: a meta-trained policy should match or beat the standard fixed
@@ -368,7 +509,7 @@ def test_upsilon_unit_substitutions():
     task = small_task(inner_epochs=0)
     extractor = baseline_extractor()
     trained = meta_train(task, extractor, seed=31, epochs=0)
-    fstars = run_test_episodes(task, extractor, trained.policy, 1, seed_base=31)
+    fstars, _ = run_test_episodes(task, extractor, trained.policy, 1, seed_base=31)
     f = float(fstars[3][0])
     baseline = BaselineStats(
         task_id=task.id, q_runs=1, seed_base=31, stats={3: (f + 2.0, 2.0)}
@@ -381,7 +522,7 @@ def test_upsilon_averages_over_problems():
     task = small_task(inner_epochs=0, test_functions=(3, 20))
     extractor = baseline_extractor()
     trained = meta_train(task, extractor, seed=15, epochs=0)
-    fstars = run_test_episodes(task, extractor, trained.policy, 1, seed_base=15)
+    fstars, _ = run_test_episodes(task, extractor, trained.policy, 1, seed_base=15)
     f3, f20 = float(fstars[3][0]), float(fstars[20][0])
     baseline = BaselineStats(
         task_id=task.id,

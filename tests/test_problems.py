@@ -60,15 +60,6 @@ def test_fe_accounting_is_k_times_m(rng):
     assert problem.fe_count == 35
 
 
-def test_best_so_far_non_increasing(rng):
-    problem = make(2, 3)
-    best = np.inf
-    for _ in range(10):
-        evaluate_batch(problem, rng.uniform(-5.0, 5.0, (5, problem.dimension)))
-        assert problem.best_so_far <= best
-        best = problem.best_so_far
-
-
 def test_linear_slope_minimum_at_boundary_corner(rng):
     problem = make(5, 6, seed=11)
     corner = problem.optimum_position()

@@ -57,3 +57,35 @@ def test_install_patches_and_restores_every_pin(tracing):
     assert all(
         owner.__dict__[attr] is original for (owner, attr), original in zip(pins, originals)
     )
+
+
+def test_traced_train_and_extractor_run_every_hook(tracing, tmp_path):
+    """Hooks read their entry points' positional arguments and results, so a
+    changed signature breaks only traced runs; run a tiny traced generation
+    and extractor call and check that the counters the hooks keep moved."""
+    from popscape.analysis import make_bench_extractor, random_observations
+    from popscape.analyzer import AnalyzerConfig
+    from popscape.metabbo import TaskSpec
+    from popscape.trainer import TrainingRunConfig, train
+
+    task = TaskSpec(
+        id="de_traced", optimizer="de", dimension=3,
+        train_functions=(1,), test_functions=(3,),
+        population_size=6, budget=12, inner_epochs=1, inner_population=4,
+    )
+    run = TrainingRunConfig(
+        tasks=(task,),
+        analyzer=AnalyzerConfig(hidden_dim=4, num_heads=1, num_layers=1, ff_inner_dim=4),
+        outer_population=4,
+        max_generations=1,
+        q_runs=1,
+        seed=3,
+    )
+    tracer = tracing.Tracer()
+    with tracer.install():
+        train(run, tmp_path / "run")
+        make_bench_extractor("neural")(random_observations(8, 3, 1)[0])
+    stats = tracer.stats
+    assert stats["trainer.checkpoint_io.bytes"] > 0
+    assert stats["problems.evaluate_batch.fe"] > 0
+    assert stats["analyzer.cross_solution.score_bytes"] > 0

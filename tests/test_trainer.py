@@ -104,6 +104,44 @@ def test_best_so_far_non_decreasing(tmp_path):
     assert result.fitness == series[-1]
 
 
+def test_nan_candidate_never_hides_the_best_finite_one(tmp_path, monkeypatch):
+    """A NaN fitness ranks worst, as in the ES update: gen_best, best_so_far,
+    the result and analyzer_best.json take the best finite candidate."""
+    run = tiny_run(tasks=tiny_tasks()[:1])
+    nan_bases = {derive_seed(run.seed, "fitness", g, 0) for g in range(run.max_generations)}
+    scored = {}  # seed base (one per generation and candidate) -> (theta, score)
+
+    def fake_pipeline(theta, cfg, task, baseline, q, seed_base):
+        value = np.nan if seed_base in nan_bases else float(theta[0])
+        scored[seed_base] = (theta.copy(), value)
+        return UpsilonResult(
+            value=value, per_problem={}, z_table={}, fe_meta_train=0, fe_test=0
+        )
+
+    monkeypatch.setattr(trainer_module, "pipeline_score", fake_pipeline)
+    def no_baselines(tasks, *args, **kwargs):
+        return {t.id: None for t in tasks}
+
+    monkeypatch.setattr(trainer_module, "compute_baselines", no_baselines)
+    result = train(run, tmp_path / "run")
+    best_so_far = -np.inf
+    for record in result.history:
+        assert np.isnan(record.fitness[0])
+        assert record.gen_best == max(record.fitness[1:])
+        best_so_far = max(best_so_far, record.gen_best)
+        assert record.best_so_far == best_so_far
+    generation, i = max(
+        ((g, i) for g in range(run.max_generations) for i in range(1, run.outer_population)),
+        key=lambda gi: scored[derive_seed(run.seed, "fitness", *gi)][1],
+    )
+    theta, value = scored[derive_seed(run.seed, "fitness", generation, i)]
+    assert (result.fitness, result.generation) == (value, generation)
+    assert np.array_equal(result.theta, theta)
+    _, stored, provenance = load_checkpoint(tmp_path / "run" / "analyzer_best.json")
+    assert np.array_equal(stored, theta)
+    assert (provenance["fitness"], provenance["generation"]) == (value, generation)
+
+
 def test_fe_accounting_per_generation(tmp_path):
     run = tiny_run(max_generations=1)
     result = train(run, tmp_path / "run")
@@ -299,6 +337,35 @@ def test_fine_tune_best_so_far_non_decreasing(trained_theta):
     assert all(b2 >= b1 for b1, b2 in zip(bests, bests[1:]))
     assert len(ft.trajectory) == 4
     assert ft.upsilon == bests[-1]
+
+
+def test_fine_tune_never_tests_a_non_finite_policy(trained_theta, monkeypatch):
+    """Each epoch tests its best candidate; one whose policy has a NaN output
+    bias scores a NaN return, ranked worst, so it is never the one tested."""
+    # With Cr as 0 such a DE candidate scored a finite return, and at this
+    # seed the best one of epoch 1.
+    decode, run_tests = trainer_module.policy_decode, trainer_module.run_test_episodes
+    tested = []
+
+    def poisoned(vector, template, in_width):
+        policy = decode(vector, template, in_width)
+        if np.floor(vector[0] * 1e4) % 2:  # about half of the candidates
+            policy.b2[-1] = np.nan
+        return policy
+
+    def spy(task, extractor, policy, q_runs, seed_base):
+        tested.append(policy)
+        return run_tests(task, extractor, policy, q_runs, seed_base)
+
+    monkeypatch.setattr(trainer_module, "policy_decode", poisoned)
+    monkeypatch.setattr(trainer_module, "run_test_episodes", spy)
+    ft = fine_tune(
+        trained_theta, AnalyzerConfig(), tiny_tasks()[0], q_runs=2, seed=0, epochs=2,
+        population=4,
+    )
+    assert len(tested) == 2
+    assert all(np.all(np.isfinite(policy.b2)) for policy in tested)
+    assert all(np.isfinite(ups) for _, ups, _ in ft.trajectory)
 
 
 def test_evaluation_reports_match_golden():
