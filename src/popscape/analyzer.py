@@ -15,7 +15,13 @@ feature.  The pipeline is:
 
 Each attention block runs over its batch of slices in chunks that hold at
 most `SCORE_BLOCK_BYTES` of attention scores, so memory stays bounded at
-large m and d without changing a single output bit.
+large m and d without changing a single output bit.  The forward keeps one
+(d, m, h) activation buffer: each chunk's output is written over that
+chunk's slices once its feed-forward is done, the cross-dimension stage
+reads and writes its candidate slices through the buffer's (m, d, h)
+transposed view and adds the positional encoding to each chunk's copy, and
+pooling reads the buffer.  Its peak memory is that buffer plus one chunk's
+scores and temporaries.
 
 Layer 0's cross-solution stage has a rank-2 path.  Its input is
 ``U @ w_emb`` for the 2-channel tensor U = `pie_normalize(obs)`, so its
@@ -219,9 +225,12 @@ class PopulationEncoder:
 
     def features(self, obs: Observation) -> FeatureSet:
         # pop() hands the forward the only reference to U, so U is freed
-        # as soon as the forward drops it.
+        # as soon as the forward drops it; the embedding is this call's own,
+        # so the forward runs in it.
         held = [pie_normalize(obs)]
-        return ts_attn_forward(embed(held[0], self.w_emb), self, held.pop())
+        return ts_attn_forward(
+            embed(held[0], self.w_emb), self, held.pop(), overwrite_e=True
+        )
 
 
 def pie_normalize(obs: Observation) -> np.ndarray:
@@ -308,35 +317,47 @@ def attn_block(
     num_heads: int = 1,
     *,
     rank2: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    pe: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """LN(x + MHSA(x)) -> FF2(ReLU(FF1(.))) -> LN(residual sum).
 
-    Leading axes are a batch of independent slices.  When their scores would
-    exceed `SCORE_BLOCK_BYTES`, the slices run in chunks through the same
-    per-slice arithmetic, so the result is bit-identical to one call.
+    Leading axes are a batch of independent slices.  They run in chunks
+    whose scores hold at most `SCORE_BLOCK_BYTES` (one chunk when the batch
+    fits), each through the same per-slice arithmetic, so the result is
+    bit-identical to one call over the whole batch.
+
+    ``pe`` (L, h), if given, is added to each chunk's copy of its slices, so
+    the block runs on ``x + pe`` without a copy of the whole batch.  The
+    result is written chunk by chunk into ``out`` (a new array if None),
+    which may be x itself when x is 3-D: a chunk's slices are written only
+    after its feed-forward is done, and no other chunk reads them.
 
     ``rank2=(U, w_emb)`` states that ``x == U @ w_emb`` for a 2-channel U of
     x's leading shape.  Chunked calls then attend through
     `_rank2_attention`, which equals the exact path to rounding; unchunked
     calls ignore it.
     """
-    *batch, L, h = x.shape
+    *_, L, h = x.shape
     step = max(1, SCORE_BLOCK_BYTES // (num_heads * L * L * 8))
-    if math.prod(batch) <= step:
-        return _ff_tail(x, self_attention(x, p, num_heads), p)
     flat = x.reshape(-1, L, h)
+    if out is None:
+        out = np.empty(x.shape)
+    dest = out.reshape(-1, L, h)
+    if flat.shape[0] <= step:
+        rank2 = None
     if rank2 is not None:
         u = rank2[0].reshape(-1, L, 2)
         a, vo = _rank2_maps(rank2[1], p, num_heads)
-    out = np.empty(flat.shape)
     for i in range(0, flat.shape[0], step):
         s = slice(i, i + step)
+        chunk = flat[s] if pe is None else flat[s] + pe
         if rank2 is None:
-            attn = self_attention(flat[s], p, num_heads)
+            attn = self_attention(chunk, p, num_heads)
         else:
             attn = _rank2_attention(u[s], a, vo)
-        out[s] = _ff_tail(flat[s], attn, p)
-    return out.reshape(x.shape)
+        dest[s] = _ff_tail(chunk, attn, p)
+    return out
 
 
 def _ff_tail(x: np.ndarray, attn: np.ndarray, p: AttnBlockParams) -> np.ndarray:
@@ -524,15 +545,22 @@ def _exact_rows(
 
 
 def ts_attn_forward(
-    E: np.ndarray, net: PopulationEncoder, U: Optional[np.ndarray] = None
+    E: np.ndarray,
+    net: PopulationEncoder,
+    U: Optional[np.ndarray] = None,
+    *,
+    overwrite_e: bool = False,
 ) -> FeatureSet:
     """Two-stage attention over a (d, m, h) embedding, then mean pooling.
 
     Stage one attends across candidates within each dimension slice (no
-    positional encoding, so candidate order is immaterial).  Stage two
-    transposes to (m, d, h), adds the positional encoding over dimensions,
+    positional encoding, so candidate order is immaterial).  Stage two reads
+    the (m, d, h) transpose, adds the positional encoding over dimensions,
     and attends across dimensions within each candidate.  Stacked layers
     repeat the whole cycle, re-adding the positional encoding each time.
+
+    Every stage runs in one (d, m, h) buffer (see `attn_block`): a copy of
+    E, or E itself with ``overwrite_e``, whose contents are then lost.
 
     Given ``U``, the (d, m, 2) tensor with ``E == U @ net.w_emb``, layer 0's
     cross-solution stage may take the rank-2 path (see `attn_block`); U is
@@ -542,14 +570,15 @@ def ts_attn_forward(
     heads = net.config.num_heads
     pe = positional_encoding(d, h)
     rank2 = None if U is None else (U, net.w_emb)
-    t = E
-    del U, E  # t holds the only reference; the first stage can free it
+    t = E if overwrite_e else np.array(E, dtype=float)
+    del U, E  # t and rank2 hold the only references the forward keeps
+    by_candidate = t.transpose(1, 0, 2)  # (m, d, h) view of the buffer
     for layer in net.layers:
-        t = attn_block(t, layer.cross_solution, heads, rank2=rank2)  # attends over m
+        # attends over m
+        attn_block(t, layer.cross_solution, heads, rank2=rank2, out=t)
         rank2 = None  # layer 0 only; this frees U
-        t = t.transpose(1, 0, 2) + pe[None, :, :]  # (m, d, h)
-        t = attn_block(t, layer.cross_dimension, heads)  # attends over d
-        t = t.transpose(1, 0, 2)  # back to (d, m, h)
+        # attends over d
+        attn_block(by_candidate, layer.cross_dimension, heads, pe=pe, out=by_candidate)
     per_candidate = t.mean(axis=0)  # (m, h)
     population = per_candidate.mean(axis=0)  # (h,)
     return FeatureSet(per_candidate=per_candidate, population=population)

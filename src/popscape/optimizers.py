@@ -9,6 +9,7 @@ be reproduced by an independent trace.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -23,13 +24,23 @@ logger = logging.getLogger(__name__)
 VELOCITY_CLAMP_FRACTION = 0.2
 
 
+def _control_range(name: str, values: np.ndarray) -> tuple[float, float]:
+    """Smallest and largest of a control's values.  A NaN or an infinity,
+    which clamping cannot repair, raises `ConfigError` naming the control."""
+    lo, hi = float(np.min(values)), float(np.max(values))  # both propagate NaN
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"{name} is not finite")
+    return lo, hi
+
+
 @dataclass
 class DeConfig:
     """Per-individual differential-evolution controls.
 
     F is the mutation factor in [0, 1) and Cr the crossover rate in [0, 1];
-    out-of-range values are clamped with a warning.  F = 0 is allowed and
-    degenerates the mutant to an exact copy of the first donor.
+    out-of-range values are clamped with a warning, and a NaN or infinite
+    one raises `ConfigError`.  F = 0 is allowed and degenerates the mutant
+    to an exact copy of the first donor.
     """
 
     F: np.ndarray
@@ -38,10 +49,12 @@ class DeConfig:
     def __post_init__(self):
         F = np.asarray(self.F, dtype=float).reshape(-1)
         Cr = np.asarray(self.Cr, dtype=float).reshape(-1)
-        if np.any(F < 0) or np.any(F >= 1):
+        f_lo, f_hi = _control_range("DE control F", F)
+        cr_lo, cr_hi = _control_range("DE control Cr", Cr)
+        if f_lo < 0 or f_hi >= 1:
             logger.warning("DE mutation factor outside [0, 1); clamping")
             F = np.clip(F, 0.0, 1.0 - 1e-12)
-        if np.any(Cr < 0) or np.any(Cr > 1):
+        if cr_lo < 0 or cr_hi > 1:
             logger.warning("DE crossover rate outside [0, 1]; clamping")
             Cr = np.clip(Cr, 0.0, 1.0)
         self.F = F
@@ -50,13 +63,17 @@ class DeConfig:
 
 @dataclass
 class PsoConfig:
-    """Population-wide particle-swarm controls."""
+    """Population-wide particle-swarm controls; out-of-range values are
+    clamped with a warning, and a NaN or infinite one raises `ConfigError`."""
 
     inertia: float
     cognitive: float
     social: float
 
     def __post_init__(self):
+        for name in ("inertia", "cognitive", "social"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"PSO control {name} is not finite")
         if not 0.0 <= self.inertia <= 1.0:
             logger.warning("PSO inertia outside [0, 1]; clamping")
             self.inertia = float(np.clip(self.inertia, 0.0, 1.0))

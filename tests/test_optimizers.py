@@ -211,3 +211,20 @@ def test_config_clamping_warns(caplog):
         cfg = DeConfig(F=np.array([1.5, 0.5, 0.5, 0.5]), Cr=np.array([0.5, -0.1, 0.5, 0.5]))
     assert np.all(cfg.F < 1.0) and np.all(cfg.Cr >= 0.0)
     assert any("clamping" in r.message for r in caplog.records)
+
+
+@pytest.mark.parametrize("field", ["F", "Cr"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_de_config_rejects_non_finite_control(field, bad):
+    controls = {"F": np.full(4, 0.5), "Cr": np.full(4, 0.9)}
+    controls[field][2] = bad
+    with pytest.raises(ConfigError, match=f"DE control {field} is not finite"):
+        DeConfig(**controls)
+
+
+@pytest.mark.parametrize("field", ["inertia", "cognitive", "social"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pso_config_rejects_non_finite_control(field, bad):
+    controls = {"inertia": 0.7, "cognitive": 1.5, "social": 1.5, field: bad}
+    with pytest.raises(ConfigError, match=f"PSO control {field} is not finite"):
+        PsoConfig(**controls)
