@@ -15,13 +15,13 @@ feature.  The pipeline is:
 
 Each attention block runs over its batch of slices in chunks that hold at
 most `SCORE_BLOCK_BYTES` of attention scores, so memory stays bounded at
-large m and d without changing a single output bit.  The forward keeps one
-(d, m, h) activation buffer: each chunk's output is written over that
-chunk's slices once its feed-forward is done, the cross-dimension stage
-reads and writes its candidate slices through the buffer's (m, d, h)
-transposed view and adds the positional encoding to each chunk's copy, and
-pooling reads the buffer.  Its peak memory is that buffer plus one chunk's
-scores and temporaries.
+large m and d without changing a single output bit.  The forward runs in
+its (d, m, h) embedding as its one activation buffer: each chunk's output
+is written over that chunk's slices once its feed-forward is done, the
+cross-dimension stage reads and writes its candidate slices through the
+buffer's (m, d, h) transposed view and adds the positional encoding to
+them in place, and pooling reads the buffer.  Its peak memory is that
+buffer plus one chunk's scores and temporaries.
 
 Layer 0's cross-solution stage has a rank-2 path.  Its input is
 ``U @ w_emb`` for the 2-channel tensor U = `pie_normalize(obs)`, so its
@@ -225,12 +225,9 @@ class PopulationEncoder:
 
     def features(self, obs: Observation) -> FeatureSet:
         # pop() hands the forward the only reference to U, so U is freed
-        # as soon as the forward drops it; the embedding is this call's own,
-        # so the forward runs in it.
+        # as soon as the forward drops it.
         held = [pie_normalize(obs)]
-        return ts_attn_forward(
-            embed(held[0], self.w_emb), self, held.pop(), overwrite_e=True
-        )
+        return ts_attn_forward(embed(held[0], self.w_emb), self, held.pop())
 
 
 def pie_normalize(obs: Observation) -> np.ndarray:
@@ -318,20 +315,20 @@ def attn_block(
     *,
     rank2: Optional[tuple[np.ndarray, np.ndarray]] = None,
     pe: Optional[np.ndarray] = None,
-    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """LN(x + MHSA(x)) -> FF2(ReLU(FF1(.))) -> LN(residual sum).
+    """LN(x + MHSA(x)) -> FF2(ReLU(FF1(.))) -> LN(residual sum), written
+    over x, which is returned.
 
-    Leading axes are a batch of independent slices.  They run in chunks
-    whose scores hold at most `SCORE_BLOCK_BYTES` (one chunk when the batch
-    fits), each through the same per-slice arithmetic, so the result is
-    bit-identical to one call over the whole batch.
+    Leading axes are a batch of independent slices; x must reshape to
+    (slices, L, h) without a copy, as any 2-D or 3-D array does.  They run
+    in chunks whose scores hold at most `SCORE_BLOCK_BYTES` (one chunk when
+    the batch fits), each through the same per-slice arithmetic, so the
+    result is bit-identical to one call over the whole batch.  A chunk's
+    slices are written only after its feed-forward is done, and no other
+    chunk reads them.
 
-    ``pe`` (L, h), if given, is added to each chunk's copy of its slices, so
-    the block runs on ``x + pe`` without a copy of the whole batch.  The
-    result is written chunk by chunk into ``out`` (a new array if None),
-    which may be x itself when x is 3-D: a chunk's slices are written only
-    after its feed-forward is done, and no other chunk reads them.
+    ``pe`` (L, h), if given, is first added to each chunk's slices, so the
+    block runs on ``x + pe``.
 
     ``rank2=(U, w_emb)`` states that ``x == U @ w_emb`` for a 2-channel U of
     x's leading shape.  Chunked calls then attend through
@@ -340,10 +337,7 @@ def attn_block(
     """
     *_, L, h = x.shape
     step = max(1, SCORE_BLOCK_BYTES // (num_heads * L * L * 8))
-    flat = x.reshape(-1, L, h)
-    if out is None:
-        out = np.empty(x.shape)
-    dest = out.reshape(-1, L, h)
+    flat = x.reshape(-1, L, h, copy=False)
     if flat.shape[0] <= step:
         rank2 = None
     if rank2 is not None:
@@ -351,20 +345,23 @@ def attn_block(
         a, vo = _rank2_maps(rank2[1], p, num_heads)
     for i in range(0, flat.shape[0], step):
         s = slice(i, i + step)
-        chunk = flat[s] if pe is None else flat[s] + pe
+        chunk = flat[s]
+        if pe is not None:
+            chunk += pe
         if rank2 is None:
             attn = self_attention(chunk, p, num_heads)
         else:
             attn = _rank2_attention(u[s], a, vo)
-        dest[s] = _ff_tail(chunk, attn, p)
-    return out
+        chunk[...] = _ff_tail(chunk, attn, p)
+    return x
 
 
 def _ff_tail(x: np.ndarray, attn: np.ndarray, p: AttnBlockParams) -> np.ndarray:
     """Everything after attention: LN(x + attn), the feed-forward, its
     residual and the second LN."""
     # In-place adds give the same bits: IEEE addition commutes.
-    g = layer_norm(x + attn, p.ln1_gain, p.ln1_bias)
+    attn += x
+    g = layer_norm(attn, p.ln1_gain, p.ln1_bias)
     hidden = g @ p.ff1_w
     hidden += p.ff1_b
     np.maximum(hidden, 0.0, out=hidden)
@@ -476,7 +473,10 @@ def _taylor_rows(
     n = p + 1
     kx, ky = _powers(unit, n).swapaxes(0, 1)
     m = ((ky * keys_t[:, None]).reshape(3 * n, -1) @ kx.T).reshape(3, n, n)
-    fact = np.cumprod(np.maximum(np.arange(n), 1.0))  # 0!, 1!, ..., p!
+    # 0!, 1!, ..., p!; np.cumprod gives the same values but leaves a small
+    # block allocated per call (about a hundred held at once), which moved
+    # this forward's traced peak by a varying few hundred bytes
+    fact = np.multiply.accumulate(np.maximum(np.arange(n), 1.0))
     m /= np.outer(fact, fact)
     qx, qy = _powers(wr, n).swapaxes(0, 1)
     s = (m.reshape(3 * n, n) @ qx).reshape(3, n, -1)
@@ -545,11 +545,7 @@ def _exact_rows(
 
 
 def ts_attn_forward(
-    E: np.ndarray,
-    net: PopulationEncoder,
-    U: Optional[np.ndarray] = None,
-    *,
-    overwrite_e: bool = False,
+    E: np.ndarray, net: PopulationEncoder, U: Optional[np.ndarray] = None
 ) -> FeatureSet:
     """Two-stage attention over a (d, m, h) embedding, then mean pooling.
 
@@ -559,8 +555,8 @@ def ts_attn_forward(
     and attends across dimensions within each candidate.  Stacked layers
     repeat the whole cycle, re-adding the positional encoding each time.
 
-    Every stage runs in one (d, m, h) buffer (see `attn_block`): a copy of
-    E, or E itself with ``overwrite_e``, whose contents are then lost.
+    The forward consumes E: every stage writes over it (see `attn_block`),
+    so a caller that needs E afterwards passes a copy.
 
     Given ``U``, the (d, m, 2) tensor with ``E == U @ net.w_emb``, layer 0's
     cross-solution stage may take the rank-2 path (see `attn_block`); U is
@@ -570,16 +566,13 @@ def ts_attn_forward(
     heads = net.config.num_heads
     pe = positional_encoding(d, h)
     rank2 = None if U is None else (U, net.w_emb)
-    t = E if overwrite_e else np.array(E, dtype=float)
-    del U, E  # t and rank2 hold the only references the forward keeps
-    by_candidate = t.transpose(1, 0, 2)  # (m, d, h) view of the buffer
+    del U  # rank2 holds the only reference the forward keeps
+    by_candidate = E.transpose(1, 0, 2)  # (m, d, h) view of the buffer
     for layer in net.layers:
-        # attends over m
-        attn_block(t, layer.cross_solution, heads, rank2=rank2, out=t)
+        attn_block(E, layer.cross_solution, heads, rank2=rank2)  # attends over m
         rank2 = None  # layer 0 only; this frees U
-        # attends over d
-        attn_block(by_candidate, layer.cross_dimension, heads, pe=pe, out=by_candidate)
-    per_candidate = t.mean(axis=0)  # (m, h)
+        attn_block(by_candidate, layer.cross_dimension, heads, pe=pe)  # attends over d
+    per_candidate = E.mean(axis=0)  # (m, h)
     population = per_candidate.mean(axis=0)  # (h,)
     return FeatureSet(per_candidate=per_candidate, population=population)
 

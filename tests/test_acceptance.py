@@ -94,8 +94,8 @@ def test_criterion_2_analyzer_oracle_equivalence():
         m = int(rng.integers(2, 7))
         net = decode_params(rng.normal(0, 0.4, param_count(cfg)), cfg)
         E = rng.normal(size=(d, m, 16))
-        fs = ts_attn_forward(E, net)
         ref_indiv, ref_pop = ref_ts_attn(E, net)
+        fs = ts_attn_forward(E, net)
         worst_forward = max(
             worst_forward,
             float(np.max(np.abs(fs.per_candidate - ref_indiv))),
@@ -109,7 +109,7 @@ def test_criterion_2_analyzer_oracle_equivalence():
         block = net.layers[0].cross_solution if case % 2 else net.layers[0].cross_dimension
         x = rng.normal(size=(int(rng.integers(1, 7)), 16))
         worst_block = max(
-            worst_block, float(np.max(np.abs(attn_block(x, block) - ref_attn_block(x, block))))
+            worst_block, float(np.max(np.abs(attn_block(x.copy(), block) - ref_attn_block(x, block))))
         )
     assert worst_block < 1e-9
     ok(f"2 analyzer oracle equivalence (max dev forward {worst_forward:.2e}, block {worst_block:.2e})")
