@@ -3,11 +3,12 @@
 
 Reproduces the timing-table layout (rows = extractor, columns = grid cells)
 and prints the derived ratios that the efficiency discussion rests on, then
-the peak traced memory of one untimed extraction per (extractor, cell), over
-the timed cells plus the edge cell (1000, 300).
+the peak traced memory and the minor page faults of one untimed extraction
+per (extractor, cell), over the timed cells plus the edge cell (1000, 300).
 """
 
 import argparse
+import resource
 import tracemalloc
 
 from popscape.analysis import (
@@ -20,14 +21,17 @@ from popscape.metabbo import EXTRACTOR_KINDS
 
 
 def peak_traced_mb(kind, m, d):
-    """Peak memory traced by `tracemalloc` during one extraction, in MB."""
+    """Peak memory traced by `tracemalloc` during one extraction, in MB, and
+    the minor page faults the process took during it."""
     fn = make_bench_extractor(kind)
     obs = random_observations(m, d, count=1)[0]
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         fn(obs)
-        return tracemalloc.get_traced_memory()[1] / 1e6
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        return tracemalloc.get_traced_memory()[1] / 1e6, faults
     finally:
         tracemalloc.stop()
 
@@ -55,11 +59,17 @@ def main():
 
     # the memory table adds the large-m*d edge cell, too slow to time 20 times
     memory_cells = cells + [(1000, 300)]
+    header = "extractor," + ",".join(f"m{m}_d{d}" for m, d in memory_cells)
+    memory = {kind: [peak_traced_mb(kind, m, d) for m, d in memory_cells]
+              for kind in EXTRACTOR_KINDS}
     print("peak traced memory (MB) of one extraction")
-    print("extractor," + ",".join(f"m{m}_d{d}" for m, d in memory_cells))
-    for kind in EXTRACTOR_KINDS:
-        peaks = (peak_traced_mb(kind, m, d) for m, d in memory_cells)
-        print(kind + "," + ",".join(f"{p:.1f}" for p in peaks))
+    print(header)
+    for kind, results in memory.items():
+        print(kind + "," + ",".join(f"{mb:.1f}" for mb, _ in results))
+    print("minor page faults of the same extraction")
+    print(header)
+    for kind, results in memory.items():
+        print(kind + "," + ",".join(str(faults) for _, faults in results))
 
 
 if __name__ == "__main__":

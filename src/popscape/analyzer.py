@@ -14,8 +14,9 @@ feature.  The pipeline is:
    candidates (population feature).
 
 Each attention block runs over its batch of slices in chunks that hold at
-most `SCORE_BLOCK_BYTES` of attention scores, so memory stays bounded at
-large m and d without changing a single output bit.  The forward runs in
+most `EXACT_BLOCK_BYTES` of attention scores (a single larger slice runs
+alone), so each chunk's scores stay near cache size at large m and d
+without changing a single output bit.  The forward runs in
 its (d, m, h) embedding as its one activation buffer: each chunk's output
 is written over that chunk's slices once its feed-forward is done, the
 cross-dimension stage reads and writes its candidate slices through the
@@ -41,14 +42,15 @@ most `RANK2_TILE_BYTES` of scores: one score gemm per tile, each row shifted
 by a lower bound on its max found before the tiles, the row sums riding in
 the ``softmax U`` gemm, and rows whose ``exp`` overflowed redone with their
 exact max.
-`PopulationEncoder.features` passes U, and the path runs only where that
-stage is chunked anyway: heads * d * m^2 * 8 bytes of scores above
-`SCORE_BLOCK_BYTES`, e.g. m >= 324 at d = 10 with one head.  Every smaller
-forward, training-size ones included, is bit-identical to the exact path.
-Larger ones agree with it to about 1e-15 but not bit for bit, so a
-training config whose layer-0 scores chunk writes a `history.csv` that can
-differ from the exact path's: first in the last bits, then by more once a
-flipped comparison changes the rest of an episode.
+`PopulationEncoder.features` passes U, and the path runs only past the
+rank-2 gate `SCORE_BLOCK_BYTES`: more than one slice, holding more than
+that many scores in all (heads * d * m^2 * 8 bytes), e.g. m >= 324 at
+d = 10 with one head.  Every smaller forward, training-size ones included,
+is bit-identical to the exact path.  Larger ones agree with it to about
+1e-15 but not bit for bit, so a training config past the gate writes a
+`history.csv` that can differ from the exact path's: first in the last
+bits, then by more once a flipped comparison changes the rest of an
+episode.
 `ts_attn_forward(E, net)` without U always takes the exact path.
 
 The forward pass is a pure function of the flat weight vector and the
@@ -71,8 +73,16 @@ from .utils import f8_from_b64, f8_to_b64, layout_size, read_sealed, unpack, wri
 
 LN_EPS = 1e-5
 
-# Most float64 attention-score bytes (slices x heads x L x L) one
-# `attn_block` chunk holds; a single slice larger than this runs alone.
+# Most float64 attention-score bytes (slices x heads x L x L) one exact
+# `attn_block` chunk holds; a single slice larger than this runs alone, and
+# rank-2 chunks take the same slice counts.  Chunks are bit-identical
+# however they are cut, so this sets only memory.
+EXACT_BLOCK_BYTES = 1 << 20
+
+# The rank-2 gate: layer 0's cross-solution stage takes the rank-2 path iff
+# its slices' scores exceed this many bytes and it has more than one slice.
+# Not a chunk size: lowering it moves forwards onto the rank-2 path, which
+# changes their bits.
 SCORE_BLOCK_BYTES = 8 << 20
 
 # Most float64 score bytes one query-row tile of the rank-2 core holds
@@ -321,24 +331,26 @@ def attn_block(
 
     Leading axes are a batch of independent slices; x must reshape to
     (slices, L, h) without a copy, as any 2-D or 3-D array does.  They run
-    in chunks whose scores hold at most `SCORE_BLOCK_BYTES` (one chunk when
-    the batch fits), each through the same per-slice arithmetic, so the
-    result is bit-identical to one call over the whole batch.  A chunk's
-    slices are written only after its feed-forward is done, and no other
-    chunk reads them.
+    in chunks whose scores hold at most `EXACT_BLOCK_BYTES` (one slice per
+    chunk when a slice's are larger), each through the same per-slice
+    arithmetic, so the result is bit-identical to one call over the whole
+    batch.  A chunk's slices are written only after its feed-forward is
+    done, and no other chunk reads them.
 
     ``pe`` (L, h), if given, is first added to each chunk's slices, so the
     block runs on ``x + pe``.
 
     ``rank2=(U, w_emb)`` states that ``x == U @ w_emb`` for a 2-channel U of
-    x's leading shape.  Chunked calls then attend through
-    `_rank2_attention`, which equals the exact path to rounding; unchunked
-    calls ignore it.
+    x's leading shape.  Calls past the rank-2 gate, more than one slice
+    holding more than `SCORE_BLOCK_BYTES` of scores in all, then attend
+    through `_rank2_attention`, which equals the exact path to rounding;
+    other calls ignore it.
     """
     *_, L, h = x.shape
-    step = max(1, SCORE_BLOCK_BYTES // (num_heads * L * L * 8))
+    slice_bytes = num_heads * L * L * 8
+    step = max(1, EXACT_BLOCK_BYTES // slice_bytes)
     flat = x.reshape(-1, L, h, copy=False)
-    if flat.shape[0] <= step:
+    if flat.shape[0] <= max(1, SCORE_BLOCK_BYTES // slice_bytes):
         rank2 = None
     if rank2 is not None:
         u = rank2[0].reshape(-1, L, 2)

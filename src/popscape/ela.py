@@ -19,7 +19,11 @@ machines or runs.
 
 The groups that need pairwise distances take the sample's distance matrix
 as an optional keyword ``D``; `ela_features` builds it once and passes it
-to each, and a group called on its own builds its own.
+to each, and a group called on its own builds its own.  D is the only
+m x m float array a suite call holds: the distance build, the objective
+gaps and the nearest-better search run in row blocks of at most
+`ROW_BLOCK_BYTES`, and the upper triangle is read through one boolean
+mask.
 """
 
 from __future__ import annotations
@@ -42,16 +46,52 @@ IC_EPS_GRID = (0.0, *np.logspace(-5, 5, 15))
 DEFAULT_BOUNDS = (-5.0, 5.0)
 
 
+# Most bytes of an (rows, m) float64 temporary that a row-block loop over an
+# m x m matrix holds; every such loop is exact, so its bits do not depend on
+# this.
+ROW_BLOCK_BYTES = 1 << 20
+
+
+def _row_blocks(m: int) -> list[slice]:
+    """Row slices of an m x m float64 array, each at most `ROW_BLOCK_BYTES`;
+    one slice when a single block covers m."""
+    rows = max(1, ROW_BLOCK_BYTES // (8 * m))
+    if rows >= m:
+        return [slice(None)]
+    return [slice(i, i + rows) for i in range(0, m, rows)]
+
+
+def _upper_triangle(m: int) -> np.ndarray:
+    """(m, m) bool mask of the strict upper triangle; indexing with it
+    gathers in `np.triu_indices(m, 1)` order."""
+    return ~np.tri(m, dtype=bool)
+
+
 def _pairwise_distances(X: np.ndarray) -> np.ndarray:
-    # sqrt(max(sq_i + sq_j - 2 x_i.x_j, 0)), operation for operation, built
-    # in place in two m x m arrays
+    # sqrt(max(fl(sq_i + sq_j) - 2 x_i.x_j, 0)), operation for operation, built
+    # in place in the one m x m array: scaling by -2 is exact, and adding
+    # -2g to a sum rounds as subtracting 2g from it
     sq = np.sum(X * X, axis=1)
-    d2 = sq[:, None] + sq[None, :]
-    g = X @ X.T
-    g *= 2.0
-    d2 -= g
-    np.maximum(d2, 0.0, out=d2)
-    return np.sqrt(d2, out=d2)
+    D = X @ X.T
+    D *= -2.0
+    for s in _row_blocks(X.shape[0]):
+        rows = D[s]
+        rows += sq[s, None] + sq[None, :]
+    np.maximum(D, 0.0, out=D)
+    return np.sqrt(D, out=D)
+
+
+def _upper_gaps(y: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """``|y_i - y_j|`` over the upper triangle, in its gather order, built
+    in row blocks."""
+    m = y.shape[0]
+    out = np.empty(m * (m - 1) // 2)
+    start = 0
+    for s in _row_blocks(m):
+        gaps = (y[s, None] - y[None, :])[upper[s]]
+        np.abs(gaps, out=out[start : start + gaps.size])
+        start += gaps.size
+    return out
 
 
 def _pearson(a: np.ndarray, b: np.ndarray) -> Feature:
@@ -83,14 +123,16 @@ def fdc_features(X, y, lb=None, ub=None, *, D=None) -> dict[str, Feature]:
     diagonal = float(np.linalg.norm(ub - lb))
     best = int(np.argmin(y))
     dist_to_best = np.linalg.norm(X - X[best], axis=1)
-    iu = np.triu_indices(m, k=1)
-    pair_dist = (_pairwise_distances(X) if D is None else D)[iu]
-    obj_diff = np.abs(y[iu[0]] - y[iu[1]])
+    upper = _upper_triangle(m)
+    pair_dist = (_pairwise_distances(X) if D is None else D)[upper]
+    dist_mean, dist_std = float(pair_dist.mean()), float(pair_dist.std())
+    del pair_dist  # freed before the gaps are built
+    obj_diff = _upper_gaps(y, upper)
     centroid = X.mean(axis=0)
     return {
         "fdc_correlation": _pearson(y, dist_to_best),
-        "fdc_dist_mean": float(pair_dist.mean()),
-        "fdc_dist_std": float(pair_dist.std()),
+        "fdc_dist_mean": dist_mean,
+        "fdc_dist_std": dist_std,
         "fdc_obj_diff_mean": float(obj_diff.mean()),
         "fdc_obj_diff_std": float(obj_diff.std()),
         "fdc_best_to_centroid": float(np.linalg.norm(X[best] - centroid)) / diagonal,
@@ -107,8 +149,7 @@ def dispersion_features(
     m = X.shape[0]
     if D is None:
         D = _pairwise_distances(X)
-    iu = np.triu_indices(m, k=1)
-    full_mean = float(D[iu].mean())
+    full_mean = float(D[_upper_triangle(m)].mean())
     order = np.argsort(y, kind="stable")
     out: dict[str, Feature] = {}
     for q in quantiles:
@@ -120,7 +161,7 @@ def dispersion_features(
             out[diff_name] = None
             continue
         sub = order[:k]
-        sub_mean = float(D[np.ix_(sub, sub)][np.triu_indices(k, k=1)].mean())
+        sub_mean = float(D[np.ix_(sub, sub)][_upper_triangle(k)].mean())
         out[ratio_name] = sub_mean / full_mean if full_mean > 0 else None
         out[diff_name] = sub_mean - full_mean
     return out
@@ -227,10 +268,12 @@ def nearest_better_distances(X, y, *, D=None) -> tuple[np.ndarray, np.ndarray]:
     nn = D.min(axis=1)
     np.fill_diagonal(D, diagonal)
     idx = np.arange(m)
-    # never true on the diagonal, so D's own zeros stay masked
-    better = (y[None, :] < y[:, None]) | ((y[None, :] == y[:, None]) & (idx[None, :] < idx[:, None]))
-    masked = np.where(better, D, np.inf)
-    nb = masked.min(axis=1)
+    nb = np.empty(m)
+    for s in _row_blocks(m):
+        ys = y[s, None]
+        # never true on the diagonal, so D's own zeros stay masked
+        better = (y < ys) | ((y == ys) & (idx < idx[s, None]))
+        nb[s] = np.where(better, D[s], np.inf).min(axis=1)
     nb[np.isinf(nb)] = np.nan
     return nn, nb
 
@@ -326,11 +369,17 @@ def impute_missing(features: dict[str, Feature], names: Sequence[str]) -> np.nda
 
 
 def _design_with_interactions(X: np.ndarray) -> np.ndarray:
+    """[1 | X | x_i x_j for i <= j], filled column block by column block
+    into the one (C-contiguous) design."""
     m, d = X.shape
-    columns = [np.ones((m, 1)), X]
+    design = np.empty((m, 1 + d + d * (d + 1) // 2))
+    design[:, 0] = 1.0
+    design[:, 1 : 1 + d] = X
+    col = 1 + d
     for i in range(d):
-        columns.append(X[:, i : i + 1] * X[:, i:])
-    return np.concatenate(columns, axis=1)
+        np.multiply(X[:, i : i + 1], X[:, i:], out=design[:, col : col + d - i])
+        col += d - i
+    return design
 
 
 def _r_squared(y: np.ndarray, residuals: np.ndarray) -> Feature:
@@ -521,9 +570,7 @@ def handcrafted_state(ctx: RunContext) -> np.ndarray:
     hist_range = ctx.worst_so_far - ctx.best_so_far
     best_idx = int(np.argmin(y))
     dist_to_best = np.linalg.norm(obs.X - obs.X[best_idx], axis=1)
-    m = obs.size
-    iu = np.triu_indices(m, k=1)
-    pair_mean = float(_pairwise_distances(obs.X)[iu].mean())
+    pair_mean = float(_pairwise_distances(obs.X)[_upper_triangle(obs.size)].mean())
     improvement = ctx.prev_best - ctx.best_so_far
     rel_improvement = (
         max(0.0, improvement) / max(abs(ctx.prev_best), 1e-12)

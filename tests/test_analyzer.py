@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from popscape import analyzer
 from popscape.analyzer import (
+    EXACT_BLOCK_BYTES,
     LN_EPS,
     RANK2_TILE_BYTES,
     SCORE_BLOCK_BYTES,
@@ -206,10 +207,10 @@ def test_attn_block_matches_scalar_oracle(rng, heads):
 
 @pytest.mark.parametrize("heads", [1, 2, 4])
 def test_attn_block_chunked_batch_is_bit_identical(rng, heads):
-    # one 1100 x 1100 float64 score slice (9.7 MB) exceeds SCORE_BLOCK_BYTES,
+    # one 1100 x 1100 float64 score slice (9.7 MB) exceeds EXACT_BLOCK_BYTES,
     # so the three slices run as three chunks
     L = 1100
-    assert L * L * 8 > SCORE_BLOCK_BYTES
+    assert L * L * 8 > EXACT_BLOCK_BYTES
     cfg = AnalyzerConfig(hidden_dim=4, num_heads=heads)
     net, _ = random_net(cfg, 21 + heads)
     p = net.layers[0].cross_solution
@@ -605,11 +606,34 @@ def test_large_forward_drops_its_embedding():
     assert traced_peak(lambda: net.features(obs)) < 34e6
 
 
-@pytest.mark.parametrize("block_bytes", [SCORE_BLOCK_BYTES, 2 * 81 * 8])
+def test_large_forward_holds_cache_sized_chunks():
+    # exact chunks of at most EXACT_BLOCK_BYTES of scores: 13 cross-dimension
+    # slices of 100 x 100 at (1000, 100), not 104, so the peak is E
+    # (12.8 MB) plus about 2.4 MB, against 29.1 MB for 8 MiB chunks
+    net, obs = rank2_case(1000, 100)
+    net.features(obs)  # warm caches before measuring
+    assert traced_peak(lambda: net.features(obs)) < 20e6
+
+
+@pytest.mark.parametrize("m, d", [(1000, 10), (330, 10)])
+def test_exact_chunk_size_leaves_forward_bits(monkeypatch, m, d):
+    # features() takes the rank-2 layer 0 at both shapes, exact_features()
+    # the exact one; 8-byte chunks run every stage one slice at a time, so
+    # the cross-dimension stage goes from one chunk to m
+    net, obs = rank2_case(m, d)
+    whole = net.features(obs)
+    exact = exact_features(net, obs)
+    monkeypatch.setattr(analyzer, "EXACT_BLOCK_BYTES", 8)
+    for want, got in ((whole, net.features(obs)), (exact, exact_features(net, obs))):
+        assert np.array_equal(got.per_candidate, want.per_candidate)
+        assert np.array_equal(got.population, want.population)
+
+
+@pytest.mark.parametrize("block_bytes", [EXACT_BLOCK_BYTES, 2 * 81 * 8])
 def test_ts_attn_forward_runs_in_its_input(monkeypatch, block_bytes):
     # the last stage's output is left in E, whose mean over dimensions is
     # the per-candidate feature: no stage wrote to an array of its own
-    monkeypatch.setattr(analyzer, "SCORE_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(analyzer, "EXACT_BLOCK_BYTES", block_bytes)
     net, rng = random_net(AnalyzerConfig(num_heads=2, num_layers=2), 17)
     E = rng.normal(size=(7, 9, 16))
     ref_indiv, ref_pop = ref_ts_attn(E, net)
@@ -626,7 +650,7 @@ def test_chunked_stacked_forward_is_bit_identical(monkeypatch):
     net, rng = random_net(AnalyzerConfig(num_heads=2, num_layers=2), 19)
     E = rng.normal(size=(7, 9, 16))
     whole = ts_attn_forward(E.copy(), net)
-    monkeypatch.setattr(analyzer, "SCORE_BLOCK_BYTES", 3 * 2 * 81 * 8)
+    monkeypatch.setattr(analyzer, "EXACT_BLOCK_BYTES", 3 * 2 * 81 * 8)
     calls = []
     block = analyzer.self_attention
     monkeypatch.setattr(

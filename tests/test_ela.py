@@ -447,6 +447,58 @@ def test_suite_peak_memory_at_large_sample():
     assert peak < 32e6
 
 
+def traced_peak(fn):
+    """fn's result and the peak memory `tracemalloc` traced while it ran."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_suite_holds_one_square_array():
+    # D (8 MB) is the only (1000, 1000) float array: the distance build, the
+    # objective gaps and the nearest-better search run in row blocks, and
+    # the upper triangle is read through a bool mask.  Three square
+    # temporaries beside D peak at 28 MB
+    X, y = ela_sample(1000, 10, ties=False)
+    full_suite_features(X, y, -5.0, 5.0)  # warm caches before measuring
+    assert traced_peak(lambda: full_suite_features(X, y, -5.0, 5.0))[1] < 21e6
+
+
+def test_quadratic_design_is_built_in_place(rng):
+    # (1000, 70): 2,556 columns, a 20.4 MB design; column blocks held while
+    # they are concatenated trace about twice that
+    X = rng.uniform(-5, 5, (1000, 70))
+    design, peak = traced_peak(lambda: ela._design_with_interactions(X))
+    assert design.nbytes > 20e6
+    assert design.flags.c_contiguous
+    assert peak <= 1.1 * design.nbytes
+    blocks = [np.ones((1000, 1)), X] + [X[:, i : i + 1] * X[:, i:] for i in range(70)]
+    assert np.array_equal(design, np.concatenate(blocks, axis=1))
+
+
+def test_upper_triangle_mask_gathers_in_triu_order(rng):
+    for m in (1, 2, 7, 50):
+        A = rng.normal(size=(m, m))
+        assert np.array_equal(A[ela._upper_triangle(m)], A[np.triu_indices(m, 1)])
+
+
+def test_row_blocked_groups_match_one_block(monkeypatch):
+    # fdc's gaps and the nearest-better search give the same bits in blocks
+    # of one row as in one block
+    X, y = ela_sample(50, 10, ties=True)
+    whole = fdc_features(X, y), nearest_better_distances(X, y)
+    monkeypatch.setattr(ela, "ROW_BLOCK_BYTES", 8)
+    assert ela._row_blocks(50) == [slice(i, i + 1) for i in range(50)]
+    blocked = fdc_features(X, y), nearest_better_distances(X, y)
+    assert blocked[0] == whole[0]
+    for got, want in zip(blocked[1], whole[1]):
+        assert np.array_equal(got, want, equal_nan=True)
+
+
 # --- the distance build ------------------------------------------------------------
 
 
@@ -462,5 +514,14 @@ def one_line_distances(X):
 @pytest.mark.parametrize("m, d", [(1000, 10), (100, 100), (50, 10)])
 def test_pairwise_distances_match_one_line_build(m, d, ties):
     X, _ = ela_sample(m, d, ties)
+    assert np.array_equal(ela._pairwise_distances(X), one_line_distances(X))
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["plain", "duplicates"])
+def test_pairwise_distances_in_row_blocks_match_one_line_build(monkeypatch, ties):
+    # 131-row blocks at m = 1000 by default; 3-row blocks leave a 1-row last one
+    X, _ = ela_sample(100, 10, ties)
+    monkeypatch.setattr(ela, "ROW_BLOCK_BYTES", 3 * 100 * 8)
+    assert len(ela._row_blocks(100)) == 34
     assert np.array_equal(ela._pairwise_distances(X), one_line_distances(X))
 
