@@ -5,19 +5,32 @@ Reproduces the timing-table layout (rows = extractor, columns = grid cells)
 and prints the derived ratios that the efficiency discussion rests on, then
 the peak traced memory and the minor page faults of one untimed extraction
 per (extractor, cell), over the timed cells plus the edge cell (1000, 300).
+
+Large encoder blocks and the classical suite run on every CPU the process
+may use, so the script first prints that worker count, and beside each
+timed cell's wall seconds the process CPU seconds (user + system) it took:
+their ratio is how many cores the cell kept busy on average.
 """
 
 import argparse
 import resource
+import time
 import tracemalloc
 
 from popscape.analysis import (
-    bench_grid,
+    extractor_walltime,
     make_bench_extractor,
     random_observations,
     timings_to_table_csv,
 )
 from popscape.metabbo import EXTRACTOR_KINDS
+from popscape.utils import cpu_workers
+
+
+def cpu_seconds():
+    """User plus system CPU seconds this process has used so far."""
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_utime + usage.ru_stime
 
 
 def peak_traced_mb(kind, m, d):
@@ -42,12 +55,21 @@ def main():
     parser.add_argument("--output", default="timing_table.csv")
     args = parser.parse_args()
 
+    print(f"workers: {cpu_workers()} CPUs this process may run on")
     cells = [(100, 10), (100, 100), (1000, 10), (1000, 100)]
-    rows = bench_grid(cells=cells, runs=args.runs)
+    rows, spent = [], []  # spent: (wall, CPU) seconds of each cell's timing
+    for kind in EXTRACTOR_KINDS:
+        for m, d in cells:
+            wall, cpu = time.perf_counter(), cpu_seconds()
+            rows.append(extractor_walltime(kind, m, d, args.runs))
+            spent.append((time.perf_counter() - wall, cpu_seconds() - cpu))
     table = timings_to_table_csv(rows)
     with open(args.output, "w") as fh:
         fh.write(table)
     print(table)
+    print("wall and CPU seconds of each cell's timing (warm-up call included)")
+    for r, (wall, cpu) in zip(rows, spent):
+        print(f"{r.kind} m{r.m}_d{r.d}: wall {wall:.3f} s, CPU {cpu:.3f} s ({cpu / wall:.2f}x)")
 
     mean = {(r.kind, r.m, r.d): r.mean_s for r in rows}
     print(f"neural vs classical suite at (m=1000, d=10): "

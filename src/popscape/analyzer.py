@@ -14,15 +14,27 @@ feature.  The pipeline is:
    candidates (population feature).
 
 Each attention block runs over its batch of slices in chunks that hold at
-most `EXACT_BLOCK_BYTES` of attention scores (a single larger slice runs
-alone), so each chunk's scores stay near cache size at large m and d
-without changing a single output bit.  The forward runs in
+most `EXACT_BLOCK_BYTES` of attention scores and per-slice activations (a
+single larger slice runs alone), so each chunk stays near cache size at
+large m and d without changing a single output bit.  The forward runs in
 its (d, m, h) embedding as its one activation buffer: each chunk's output
 is written over that chunk's slices once its feed-forward is done, the
 cross-dimension stage reads and writes its candidate slices through the
 buffer's (m, d, h) transposed view and adds the positional encoding to
-them in place, and pooling reads the buffer.  Its peak memory is that
-buffer plus one chunk's scores and temporaries.
+them in place, and pooling reads the buffer.
+
+A block with one chunk runs on the calling thread, as every desk-size
+(m = 50, d = 10) block does.  A block with more than one chunk splits its
+slices into contiguous runs for up to `cpu_workers` workers, the CPUs the
+process may run on (its affinity set): the calling thread takes one run
+and threads started inside the call take the others; all are joined
+before the block returns, so no thread outlives a forward.  Each worker
+runs the serial path's arithmetic on its own slices, so the output is the
+same bit for bit at any worker count.  The calling thread allocates each
+worker's chunk buffers (`_Buffers`) once per call, so the workers allocate
+next to nothing in their own malloc arenas.  BLAS threads are left to the
+environment.  Peak memory is the embedding plus one chunk's buffers per
+worker.
 
 Layer 0's cross-solution stage has a rank-2 path.  Its input is
 ``U @ w_emb`` for the 2-channel tensor U = `pie_normalize(obs)`, so its
@@ -61,23 +73,37 @@ can optimize them directly.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import CodecError, ConfigError, IntegrityError
-from .utils import f8_from_b64, f8_to_b64, layout_size, read_sealed, unpack, write_sealed
+from .utils import (
+    cpu_workers,
+    f8_from_b64,
+    f8_to_b64,
+    layout_size,
+    read_sealed,
+    run_split,
+    take_each,
+    unpack,
+    write_sealed,
+)
 
 LN_EPS = 1e-5
 
-# Most float64 attention-score bytes (slices x heads x L x L) one exact
-# `attn_block` chunk holds; a single slice larger than this runs alone, and
-# rank-2 chunks take the same slice counts.  Chunks are bit-identical
-# however they are cut, so this sets only memory.
-EXACT_BLOCK_BYTES = 1 << 20
+# Most bytes of float64 attention scores and per-slice activations one
+# `attn_block` chunk holds (`_slice_bytes` per slice: 13 slices of 100
+# rows at h = 16, and one chunk for every desk-size stage); a single slice
+# larger than this runs alone.  Rank-2 chunks count their [P U | row sums]
+# instead of scores, and their Taylor temporaries take the room of their
+# activations.  Chunks are bit-identical however they are cut, so this
+# sets only memory and how many workers a block can keep busy.
+EXACT_BLOCK_BYTES = 3 << 19  # 1.5 MiB
 
 # The rank-2 gate: layer 0's cross-solution stage takes the rank-2 path iff
 # its slices' scores exceed this many bytes and it has more than one slice.
@@ -281,17 +307,32 @@ def positional_encoding(length: int, h: int) -> np.ndarray:
     return pe
 
 
-def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
+def layer_norm(
+    x: np.ndarray,
+    gain: np.ndarray,
+    bias: np.ndarray,
+    out: Optional[np.ndarray] = None,
+    *,
+    work: Optional[np.ndarray] = None,
+    stat: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """LayerNorm over the last axis.
 
     The same float operations, in the same order, as
     ``(x - x.mean(-1)) / np.sqrt(x.var(-1) + LN_EPS) * gain + bias``, so the
     result is bit-identical to that expression; the centred values are
-    computed once and the tail runs in place.
+    computed once and the tail runs in place.  ``out`` (x's shape) receives
+    the result, ``work`` (x's shape, C-contiguous) the squared deviations
+    and ``stat`` (x's shape with a last axis of 1) the row mean, then the
+    row scale; each is allocated when not given.
     """
     h = x.shape[-1]
-    centred = x - np.add.reduce(x, axis=-1, keepdims=True) / h
-    scale = np.add.reduce(centred * centred, axis=-1, keepdims=True) / h
+    mean = np.add.reduce(x, axis=-1, keepdims=True, out=stat)
+    mean /= h
+    centred = np.subtract(x, mean, out=out)
+    squares = np.multiply(centred, centred, out=work)
+    scale = np.add.reduce(squares, axis=-1, keepdims=True, out=stat)
+    scale /= h
     scale += LN_EPS
     np.sqrt(scale, out=scale)
     centred /= scale
@@ -300,22 +341,113 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
     return centred
 
 
-def self_attention(x: np.ndarray, p: AttnBlockParams, num_heads: int) -> np.ndarray:
-    """Multi-head self-attention over the second-to-last axis; batched."""
+class _Buffers(NamedTuple):
+    """One chunk's activations, for a chunk of n slices of L rows.
+
+    `attn_block` allocates them on the calling thread, once per call for
+    each of its workers, as views of one block, and the block's ops fill
+    them through ``out=``; every field is None on the one-chunk path, where
+    each op allocates its result as a plain numpy expression would.  Three
+    (n, L, h) arrays serve in turn: `self_attention` computes Q, K, V into
+    ``a``, ``b``, ``c``, the head outputs over ``a``, merges them into
+    ``b`` and projects into ``c``; `_ff_tail` normalizes ``c`` into ``a``
+    (squares in ``b``), computes the hidden layer over ``b`` (``hidden``
+    shares its memory), the feed-forward output into ``c`` and its
+    normalization into ``b`` (squares in ``a``).  On the rank-2 path,
+    ``a``, ``b`` and ``c`` are free until the attention output is written
+    into ``c``, and ``scratch``, the flat block under them, holds the Taylor
+    path's temporaries meanwhile.
+    """
+
+    a: Optional[np.ndarray] = None
+    b: Optional[np.ndarray] = None
+    c: Optional[np.ndarray] = None
+    hidden: Optional[np.ndarray] = None  # (n, L, f), over b
+    stat: Optional[np.ndarray] = None  # (n, heads, L, 1): row max, sum, mean, scale
+    scores: Optional[np.ndarray] = None  # (n, heads, L, L), exact path
+    pu: Optional[np.ndarray] = None  # (n, heads, L, 3), rank-2 path
+    ratios: Optional[np.ndarray] = None  # (n, L, heads, 2), rank-2 path
+    keys_t: Optional[np.ndarray] = None  # (n, 3, L), rank-2 path: [U | 1]^T
+    unit: Optional[np.ndarray] = None  # (n, 2, L), rank-2 path: offsets in the box
+    wr: Optional[np.ndarray] = None  # (n, 2, L), rank-2 path: one head's queries
+    scratch: Optional[np.ndarray] = None  # flat, over a, b and c
+
+    @classmethod
+    def carve(cls, block: np.ndarray, n: int, L: int, p: AttnBlockParams, heads: int, rank2: bool):
+        """The buffers of n slices as views of a flat ``block`` of at least
+        ``n * _slice_bytes(...) // 8`` float64s."""
+        h, f = p.wq.shape[0], p.ff1_w.shape[1]
+        regions = {  # name: (region length in rows of L, shape)
+            "a": (h, (n, L, h)),
+            "b": (max(h, f), (n, L, h)),
+            "c": (h, (n, L, h)),
+            "stat": (heads, (n, heads, L, 1)),
+            **({"pu": (3 * heads, (n, heads, L, 3)), "ratios": (2 * heads, (n, L, heads, 2)),
+                "keys_t": (3, (n, 3, L)), "unit": (2, (n, 2, L)), "wr": (2, (n, 2, L))}
+               if rank2 else {"scores": (heads * L, (n, heads, L, L))}),
+        }
+        views, pos = {}, 0
+        for name, (rows, shape) in regions.items():
+            views[name] = block[pos : pos + math.prod(shape)].reshape(shape)
+            pos += n * L * rows
+        region_b = block[n * L * h :]
+        return cls(
+            **views,
+            hidden=region_b[: n * L * f].reshape(n, L, f),
+            scratch=block[: n * L * (2 * h + max(h, f))],
+        )
+
+    def first(self, n: int) -> "_Buffers":
+        """The buffers of the first n slices (a shorter last chunk)."""
+        return _Buffers(
+            *(None if t is None else t[:n] for t in self[:-1]), scratch=self.scratch
+        )
+
+
+def _slice_bytes(L: int, p: AttnBlockParams, heads: int, rank2: bool) -> int:
+    """Bytes of one slice's `_Buffers`: its activations and its scores, or
+    on the rank-2 path its ``[P U | row sums]``, ratios, keys, offsets and
+    queries."""
+    h, f = p.wq.shape[0], p.ff1_w.shape[1]
+    return 8 * L * (2 * h + max(h, f) + heads + (5 * heads + 7 if rank2 else heads * L))
+
+
+_NO_BUFFERS = _Buffers()
+
+
+def self_attention(
+    x: np.ndarray, p: AttnBlockParams, num_heads: int, buf: _Buffers = _NO_BUFFERS
+) -> np.ndarray:
+    """Multi-head self-attention over the second-to-last axis; batched.  The
+    result lands in ``buf.c`` (see `_Buffers`)."""
     *batch, L, h = x.shape
     dk = h // num_heads
 
     def heads(t):
         return t.reshape(*batch, L, num_heads, dk).swapaxes(-3, -2)
 
-    q, k, v = heads(x @ p.wq), heads(x @ p.wk), heads(x @ p.wv)
-    scores = q @ k.swapaxes(-1, -2)
+    q = heads(np.matmul(x, p.wq, out=buf.a))
+    k = heads(np.matmul(x, p.wk, out=buf.b))
+    v = heads(np.matmul(x, p.wv, out=buf.c))
+    scores = np.matmul(q, k.swapaxes(-1, -2), out=buf.scores)
     scores /= np.sqrt(dk)
-    scores -= scores.max(axis=-1, keepdims=True)
+    scores -= scores.max(axis=-1, keepdims=True, out=buf.stat)
     np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
-    out = (scores @ v).swapaxes(-3, -2).reshape(*batch, L, h)
-    return out @ p.wo
+    scores /= scores.sum(axis=-1, keepdims=True, out=buf.stat)
+    attn = None if buf.a is None else buf.a.reshape(*batch, num_heads, L, dk)
+    out = _merge_heads(np.matmul(scores, v, out=attn), buf.b)
+    return np.matmul(out, p.wo, out=buf.c)
+
+
+def _merge_heads(t: np.ndarray, into: Optional[np.ndarray]) -> np.ndarray:
+    """(..., heads, L, dk) -> (..., L, heads * dk): a view for one head,
+    else a copy, written into ``into`` when given."""
+    merged = t.swapaxes(-3, -2)
+    shape = (*merged.shape[:-2], -1)
+    if into is None or merged.shape[-2] == 1:
+        return merged.reshape(shape)
+    np.copyto(into.reshape(merged.shape), merged)
+    return into
 
 
 def attn_block(
@@ -331,11 +463,17 @@ def attn_block(
 
     Leading axes are a batch of independent slices; x must reshape to
     (slices, L, h) without a copy, as any 2-D or 3-D array does.  They run
-    in chunks whose scores hold at most `EXACT_BLOCK_BYTES` (one slice per
-    chunk when a slice's are larger), each through the same per-slice
-    arithmetic, so the result is bit-identical to one call over the whole
-    batch.  A chunk's slices are written only after its feed-forward is
-    done, and no other chunk reads them.
+    in chunks that hold at most `EXACT_BLOCK_BYTES` of `_slice_bytes` (one
+    slice per chunk when a slice's are larger), each through the same
+    per-slice arithmetic, so the result is bit-identical to one call over
+    the whole batch.  A chunk's slices are written only after its
+    feed-forward is done, and no other chunk reads them.
+
+    One chunk runs on the calling thread with no preallocated buffers.
+    More than one are cut equal and go to up to `cpu_workers` workers, the
+    calling thread and threads started here, each taking the next chunk
+    when it is done with its last; each worker's `_Buffers` are allocated
+    here, on the calling thread, for the whole call.
 
     ``pe`` (L, h), if given, is first added to each chunk's slices, so the
     block runs on ``x + pe``.
@@ -347,40 +485,75 @@ def attn_block(
     other calls ignore it.
     """
     *_, L, h = x.shape
-    slice_bytes = num_heads * L * L * 8
-    step = max(1, EXACT_BLOCK_BYTES // slice_bytes)
     flat = x.reshape(-1, L, h, copy=False)
-    if flat.shape[0] <= max(1, SCORE_BLOCK_BYTES // slice_bytes):
+    n = flat.shape[0]
+    if n <= max(1, SCORE_BLOCK_BYTES // (num_heads * L * L * 8)):
         rank2 = None
+    u = maps = None
     if rank2 is not None:
         u = rank2[0].reshape(-1, L, 2)
-        a, vo = _rank2_maps(rank2[1], p, num_heads)
-    for i in range(0, flat.shape[0], step):
-        s = slice(i, i + step)
-        chunk = flat[s]
-        if pe is not None:
-            chunk += pe
-        if rank2 is None:
-            attn = self_attention(chunk, p, num_heads)
-        else:
-            attn = _rank2_attention(u[s], a, vo)
-        chunk[...] = _ff_tail(chunk, attn, p)
+        maps = _rank2_maps(rank2[1], p, num_heads)
+    step = max(1, EXACT_BLOCK_BYTES // _slice_bytes(L, p, num_heads, rank2 is not None))
+    if n <= step:
+        _chunk_forward(flat, u, p, num_heads, pe, maps, _NO_BUFFERS)
+        return x
+    # equal chunks, at most ``step`` slices each, handed to the workers one
+    # at a time, so a worker whose CPU is busy with other work takes fewer
+    chunks = -(-n // step)
+    bounds = [n * c // chunks for c in range(chunks + 1)]
+    pending = collections.deque(zip(bounds, bounds[1:]))
+    rows = -(-n // chunks)
+    workers = min(cpu_workers(), chunks)
+    size = rows * _slice_bytes(L, p, num_heads, u is not None) // 8
+    block = np.empty(workers * size)  # every worker's buffers, freed whole
+    run_split(
+        [
+            functools.partial(
+                _run_chunks, pending, flat, u, p, num_heads, pe, maps,
+                _Buffers.carve(block[w * size :], rows, L, p, num_heads, u is not None),
+            )
+            for w in range(workers)
+        ]
+    )
     return x
 
 
-def _ff_tail(x: np.ndarray, attn: np.ndarray, p: AttnBlockParams) -> np.ndarray:
+def _run_chunks(pending, x, u, p, num_heads, pe, maps, buf) -> None:
+    """`_chunk_forward` over the (lo, hi) slice ranges this worker takes
+    from ``pending``, with ``buf`` sized for the longest."""
+    for lo, hi in take_each(pending):
+        part = buf if hi - lo == len(buf.a) else buf.first(hi - lo)
+        _chunk_forward(x[lo:hi], None if u is None else u[lo:hi], p, num_heads, pe, maps, part)
+
+
+def _chunk_forward(x, u, p, num_heads, pe, maps, buf) -> None:
+    """One chunk of `attn_block`, written over x; the exact path when
+    ``maps`` is None, else the rank-2 path on the chunk's 2-channel u."""
+    if pe is not None:
+        x += pe
+    if maps is None:
+        attn = self_attention(x, p, num_heads, buf)
+    else:
+        attn = _rank2_attention(u, *maps, buf)
+    x[...] = _ff_tail(x, attn, p, buf)
+
+
+def _ff_tail(
+    x: np.ndarray, attn: np.ndarray, p: AttnBlockParams, buf: _Buffers = _NO_BUFFERS
+) -> np.ndarray:
     """Everything after attention: LN(x + attn), the feed-forward, its
-    residual and the second LN."""
+    residual and the second LN; ``attn`` is consumed."""
+    stat = None if buf.stat is None else buf.stat[:, 0]
     # In-place adds give the same bits: IEEE addition commutes.
     attn += x
-    g = layer_norm(attn, p.ln1_gain, p.ln1_bias)
-    hidden = g @ p.ff1_w
+    g = layer_norm(attn, p.ln1_gain, p.ln1_bias, buf.a, work=buf.b, stat=stat)
+    hidden = np.matmul(g, p.ff1_w, out=buf.hidden)
     hidden += p.ff1_b
     np.maximum(hidden, 0.0, out=hidden)
-    ff = hidden @ p.ff2_w
+    ff = np.matmul(hidden, p.ff2_w, out=buf.c)
     ff += p.ff2_b
     ff += g
-    return layer_norm(ff, p.ln2_gain, p.ln2_bias)
+    return layer_norm(ff, p.ln2_gain, p.ln2_bias, buf.b, work=buf.a, stat=stat)
 
 
 def _rank2_maps(
@@ -399,45 +572,67 @@ def _rank2_maps(
     return a, vo.reshape(2 * num_heads, h)
 
 
-def _rank2_attention(u: np.ndarray, a: np.ndarray, vo: np.ndarray) -> np.ndarray:
+def _rank2_attention(
+    u: np.ndarray, a: np.ndarray, vo: np.ndarray, buf: _Buffers = _NO_BUFFERS
+) -> np.ndarray:
     """`self_attention` of x = U @ w_emb computed at inner width 2.
 
     Q, K and V are linear in U, so each head's scores are (U A) U^T and its
-    output is softmax(scores) U times its value map; (n, L, 2) -> (n, L, h).
-    A query row w of U A scores key u as ``w . u``.  Each (slice, head)
-    takes its ``[P U | row sums]`` from `_taylor_rows` when `_taylor_degree`
-    gives a degree p for ``rho = max_w |w_x| r_x + |w_y| r_y``, with r the
-    half-widths of U's bounding box, and ``2 (p+1) (p+2) < L``: the Taylor
-    path's two gemms, about 3 L (p+1)^2 multiply-adds each, then cost less
-    than the 3 L^2 of the tiles' score gemm alone.  Every other
-    (slice, head) runs in `_tiled_rows`.
+    output is softmax(scores) U times its value map; (n, L, 2) -> (n, L, h),
+    into ``buf.c`` when given.  A query row w of U A scores key u as
+    ``w . u``.  Each (slice, head) takes its ``[P U | row sums]`` from
+    `_taylor_rows` when `_taylor_degree` gives a degree p for ``rho =
+    max_w |w_x| r_x + |w_y| r_y``, with r the half-widths of the slice's
+    bounding box, and ``2 (p+1) (p+2) < L``: the Taylor path's two gemms,
+    about 3 L (p+1)^2 multiply-adds each, then cost less than the 3 L^2 of
+    the tiles' score gemm alone.  The slices of one head and degree run as
+    one stack.  Every other (slice, head) runs in `_tiled_rows`.
     """
     n, L, _ = u.shape
     heads = a.shape[0]
-    keys_t = np.ones((3, L))  # [U | 1]^T
+    keys_t = _or_new(buf.keys_t, (n, 3, L))  # [U | 1]^T per slice
+    keys_t[:, :2] = u.swapaxes(1, 2)
+    keys_t[:, 2] = 1.0
+    lo, hi = keys_t[:, :2].min(axis=2), keys_t[:, :2].max(axis=2)
+    radius = ((hi - lo) / 2)[:, :, None]
+    # offsets from the box centre in half-widths (0 in a channel of width 0)
+    unit = np.subtract(keys_t[:, :2], (lo + hi)[:, :, None] / 2, out=buf.unit)
+    unit /= np.where(radius > 0, radius, 1.0)
+    pu = _or_new(buf.pu, (n, heads, L, 3))  # P U | row sums
+    ratios = _or_new(buf.ratios, (n, L, heads, 2))
+    reach = ratios.reshape(2, -1)[:, : n * L].reshape(2, n, L)  # |wr_x|, |wr_y|
     keys = np.ones((L, 3))  # [U | 1], filled for the tiles
-    pu = np.empty((n, heads, L, 3))  # P U | row sums
-    buffers = None  # the tiles' scores and [W | -shift], made on first use
-    for i in range(n):
-        keys_t[:2] = u[i].T
-        lo, hi = keys_t[:2].min(axis=1), keys_t[:2].max(axis=1)
-        radius = ((hi - lo) / 2)[:, None]
-        # offsets from the box centre in half-widths (0 in a channel of width 0)
-        unit = (keys_t[:2] - (lo + hi)[:, None] / 2) / np.where(radius > 0, radius, 1.0)
-        for k in range(heads):
-            wr = a[k].T @ keys_t[:2]  # (2, L): the queries, as 2-vectors against U
-            wr *= radius  # ... times the half-widths
-            p = _taylor_degree(float(np.max(np.abs(wr[0]) + np.abs(wr[1]))))
+    tiles = None  # the tiles' scores and [W | -shift], made on first use
+    for k in range(heads):
+        # (n, 2, L): the queries, as 2-vectors against U, times the half-widths
+        wr = np.matmul(a[k].T, keys_t[:, :2], out=buf.wr)
+        wr *= radius
+        np.abs(wr.swapaxes(0, 1), out=reach)
+        rho = np.max(np.add(reach[0], reach[1], out=reach[0]), axis=1)
+        by_degree: dict[int, list[int]] = {}
+        for i in range(n):
+            p = _taylor_degree(float(rho[i]))
             if p is not None and 2 * (p + 1) * (p + 2) < L:
-                _taylor_rows(wr, unit, keys_t, p, pu[i, k])
+                by_degree.setdefault(p, []).append(i)
                 continue
-            if buffers is None:
+            if tiles is None:
                 rows = max(1, min(L, RANK2_TILE_BYTES // (L * 8)))
-                buffers = np.empty((rows, L)), np.empty((rows, 3))
+                tiles = np.empty((rows, L)), np.empty((rows, 3))
             keys[:, :2] = u[i]
-            _tiled_rows(u[i] @ a[k], keys, pu[i, k], *buffers)
-    out = pu[..., :2] / pu[..., 2:]
-    return out.swapaxes(1, 2).reshape(n, L, -1) @ vo
+            _tiled_rows(u[i] @ a[k], keys, pu[i, k], *tiles)
+        for p, idx in by_degree.items():
+            # stacks whose temporaries, five (p+1) x L arrays per slice, fit
+            # in the scratch block, else in EXACT_BLOCK_BYTES (one slice
+            # when a slice's are larger)
+            per_slice = 5 * (p + 1) * L
+            room = EXACT_BLOCK_BYTES // 8 if buf.scratch is None else buf.scratch.size
+            step = max(1, room // per_slice)
+            scratch = buf.scratch if step * per_slice <= room else None
+            for j in range(0, len(idx), step):
+                stack = _as_slice(idx[j : j + step])
+                pu[stack, k] = _taylor_rows(wr[stack], unit[stack], keys_t[stack], p, scratch)
+    np.divide(pu[..., :2], pu[..., 2:], out=ratios.swapaxes(1, 2))
+    return np.matmul(ratios.reshape(n, L, -1), vo, out=buf.c)
 
 
 def _taylor_degree(rho: float) -> Optional[int]:
@@ -457,9 +652,19 @@ def _taylor_degree(rho: float) -> Optional[int]:
     return p
 
 
-def _powers(x: np.ndarray, n: int) -> np.ndarray:
-    """(n, *x.shape): entry a holds x^a."""
-    t = np.empty((n, *x.shape))
+def _or_new(buf: Optional[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
+    """``buf``, or a new (unfilled) array of ``shape`` where none is given."""
+    return np.empty(shape) if buf is None else buf
+
+
+def _as_slice(idx: list[int]):
+    """A run of consecutive indices as a slice, which indexes by view."""
+    return slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1 else idx
+
+
+def _powers(x: np.ndarray, n: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """(n, *x.shape): entry a holds x^a; into ``out`` when given."""
+    t = np.empty((n, *x.shape)) if out is None else out
     t[0] = 1.0
     for a in range(1, n):
         np.multiply(t[a - 1], x, out=t[a])
@@ -467,33 +672,47 @@ def _powers(x: np.ndarray, n: int) -> np.ndarray:
 
 
 def _taylor_rows(
-    wr: np.ndarray, unit: np.ndarray, keys_t: np.ndarray, p: int, out: np.ndarray
-) -> None:
-    """``[P U | row sums]`` of one (slice, head) into ``out``, each row
-    scaled by ``exp(-w . c)``, which cancels in their ratio.
+    wr: np.ndarray,
+    unit: np.ndarray,
+    keys_t: np.ndarray,
+    p: int,
+    scratch: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """``[P U | row sums]`` (g, L, 3) of a stack of g (slice, head)s, each
+    row scaled by ``exp(-w . c)``, which cancels in their ratio.
 
-    ``wr`` (2, L) holds the queries times the box half-widths r, ``unit``
-    (2, L) the keys' offsets (u - c) / r, and ``keys_t`` is ``[U | 1]^T``.
-    Each score is ``w . c + wr . unit``, and ``exp(wr . unit)`` is expanded
-    as ``sum_{a,b} (wr_x unit_x)^a (wr_y unit_y)^b / (a! b!)`` over a, b <= p,
-    which holds every term of total degree <= p, so `_taylor_degree`'s bound
-    applies.  Summed over the keys first,
-    ``M[c, b, a] = sum_l keys_t[c, l] unit_y^b unit_x^a / (a! b!)`` is one
-    gemm, and row l's value in channel c is
-    ``sum_b wr_y^b sum_a M[c, b, a] wr_x^a``: no (L, L) array.
+    ``wr`` (g, 2, L) holds the queries times the box half-widths r,
+    ``unit`` (g, 2, L) the keys' offsets (u - c) / r, and ``keys_t``
+    (g, 3, L) is ``[U | 1]^T``.  Each score is ``w . c + wr . unit``, and
+    ``exp(wr . unit)`` is expanded as ``sum_{a,b} (wr_x unit_x)^a (wr_y
+    unit_y)^b / (a! b!)`` over a, b <= p, which holds every term of total
+    degree <= p, so `_taylor_degree`'s bound applies.  Summed over the keys
+    first, ``M[c, b, a] = sum_l keys_t[c, l] unit_y^b unit_x^a / (a! b!)``
+    is one gemm per (slice, head), and row l's value in channel c is
+    ``sum_b wr_y^b sum_a M[c, b, a] wr_x^a``: no (L, L) array.  Each
+    (slice, head) runs the same gemms and sums as it would alone.  The
+    temporaries, five (p+1) x L arrays per (slice, head), live in
+    ``scratch`` (flat) when given.
     """
+    g, _, L = wr.shape
     n = p + 1
-    kx, ky = _powers(unit, n).swapaxes(0, 1)
-    m = ((ky * keys_t[:, None]).reshape(3 * n, -1) @ kx.T).reshape(3, n, n)
+    powers = terms = None  # (n, g, 2, L) and (g, 3, n, L)
+    if scratch is not None:
+        powers = scratch[: 2 * n * g * L].reshape(n, g, 2, L)
+        terms = scratch[2 * n * g * L : 5 * n * g * L].reshape(g, 3, n, L)
+    kx, ky = _powers(unit, n, powers).transpose(2, 1, 0, 3)  # each (g, n, L)
+    terms = np.multiply(ky[:, None], keys_t[:, :, None], out=terms)
+    m = terms.reshape(g, 3 * n, L) @ kx.swapaxes(1, 2)
+    del kx, ky  # the key powers go before the query powers are made
     # 0!, 1!, ..., p!; np.cumprod gives the same values but leaves a small
     # block allocated per call (about a hundred held at once), which moved
     # this forward's traced peak by a varying few hundred bytes
     fact = np.multiply.accumulate(np.maximum(np.arange(n), 1.0))
-    m /= np.outer(fact, fact)
-    qx, qy = _powers(wr, n).swapaxes(0, 1)
-    s = (m.reshape(3 * n, n) @ qx).reshape(3, n, -1)
-    s *= qy
-    out[...] = s.sum(axis=1).T
+    m /= np.outer(np.tile(fact, 3), fact)  # row c n + b, column a: b! a!
+    qx, qy = _powers(wr, n, powers).transpose(2, 1, 0, 3)
+    s = np.matmul(m, qx, out=terms.reshape(g, 3 * n, L)).reshape(g, 3, n, L)
+    s *= qy[:, None]
+    return s.sum(axis=2).swapaxes(1, 2)
 
 
 def _tiled_rows(

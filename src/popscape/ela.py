@@ -23,11 +23,21 @@ to each, and a group called on its own builds its own.  D is the only
 m x m float array a suite call holds: the distance build, the objective
 gaps and the nearest-better search run in row blocks of at most
 `ROW_BLOCK_BYTES`, and the upper triangle is read through one boolean
-mask.
+mask.  No group writes into a D it is given.
+
+`full_suite_features` runs on the CPUs the process may use (its affinity
+set, `cpu_workers`): with more than one, a thread started inside the call
+computes level sets and information content, whose arrays are all small,
+while the calling thread computes the other groups from the same D and
+then takes whichever of the two the thread has not started; the thread is
+joined before the call returns, and the output is the same bit for bit as
+on one CPU.  `ela_features`, the in-run baseline, always runs on the
+calling thread.  BLAS threads are left to the environment.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -35,6 +45,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analyzer import Observation
+from .utils import cpu_workers, run_split, take_each
 
 Feature = Optional[float]
 
@@ -175,13 +186,15 @@ def nearest_neighbor_tour(X: np.ndarray, y: np.ndarray, *, D=None) -> np.ndarray
         D = _pairwise_distances(X)
     tour = np.empty(m, dtype=int)
     tour[0] = int(np.argmin(y))
-    visited = np.zeros(m, dtype=bool)
-    visited[tour[0]] = True
+    # 0 for unvisited samples, inf for visited ones: D >= 0, so D + penalty
+    # is D's row with every visited sample at inf
+    penalty = np.zeros(m)
+    penalty[tour[0]] = np.inf
+    row = np.empty(m)
     for step in range(1, m):
-        row = D[tour[step - 1]].copy()
-        row[visited] = np.inf
+        np.add(D[tour[step - 1]], penalty, out=row)
         tour[step] = int(np.argmin(row))
-        visited[tour[step]] = True
+        penalty[tour[step]] = np.inf
     return tour
 
 
@@ -256,24 +269,24 @@ def nearest_better_distances(X, y, *, D=None) -> tuple[np.ndarray, np.ndarray]:
 
     "Better" means strictly smaller objective, ties broken by index order.
     The entry for the best candidate is NaN in the nearest-better vector.
-    A given ``D`` is left as it was.
+    A given ``D`` is only read, so other threads may read it meanwhile.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     m = X.shape[0]
     if D is None:
         D = _pairwise_distances(X)
-    diagonal = D.diagonal().copy()
-    np.fill_diagonal(D, np.inf)
-    nn = D.min(axis=1)
-    np.fill_diagonal(D, diagonal)
     idx = np.arange(m)
-    nb = np.empty(m)
+    nn, nb = np.empty(m), np.empty(m)
     for s in _row_blocks(m):
         ys = y[s, None]
         # never true on the diagonal, so D's own zeros stay masked
         better = (y < ys) | ((y == ys) & (idx < idx[s, None]))
-        nb[s] = np.where(better, D[s], np.inf).min(axis=1)
+        rows = np.where(better, D[s], np.inf)
+        nb[s] = rows.min(axis=1)
+        np.copyto(rows, D[s])
+        rows[idx[s] - idx[s][0], idx[s]] = np.inf  # the block's diagonal
+        nn[s] = rows.min(axis=1)
     nb[np.isinf(nb)] = np.nan
     return nn, nb
 
@@ -431,6 +444,10 @@ def _gaussian_discriminants(
     d = X_tr.shape[1]
     if not (np.any(labels) and np.any(~labels)):
         return None
+    def regularised(cov):  # the covariance and its log-determinant
+        cov = cov + np.eye(d) * (1e-8 + 1e-6 * np.trace(cov) / d)
+        return cov, np.linalg.slogdet(cov)[1]
+
     classes = []  # (mean, covariance, prior) of the False, then the True class
     pooled_cov = np.zeros((d, d))
     for c in (False, True):
@@ -439,16 +456,15 @@ def _gaussian_discriminants(
         classes.append((G.mean(axis=0), cov, G.shape[0] / X_tr.shape[0]))
         pooled_cov += cov * G.shape[0]
     pooled_cov /= X_tr.shape[0]
+    pooled = regularised(pooled_cov)  # LDA: one matrix for both classes
     predictions = []
-    for pooled in (True, False):
+    for lda in (True, False):
         scores = np.empty((X_te.shape[0], 2))
         for ci, (mean, cov, prior) in enumerate(classes):
-            cov = pooled_cov if pooled else cov
-            cov = cov + np.eye(d) * (1e-8 + 1e-6 * np.trace(cov) / d)
+            cov, logdet = pooled if lda else regularised(cov)
             diff = X_te - mean
             solved = np.linalg.solve(cov, diff.T).T
             maha = np.sum(diff * solved, axis=1)
-            sign, logdet = np.linalg.slogdet(cov)
             scores[:, ci] = -0.5 * maha - 0.5 * logdet + math.log(prior)
         predictions.append(scores[:, 1] > scores[:, 0])
     return tuple(predictions)
@@ -512,18 +528,46 @@ def principal_component_features(X, y) -> dict[str, Feature]:
 
 def full_suite_features(X, y, lb=None, ub=None) -> dict[str, Feature]:
     """All groups, including the offline-only ones; used for the wall-time
-    benchmark and correlation studies."""
-    out = ela_features(X, y, lb, ub)
-    out.update(meta_model_features(X, y))
-    out.update(level_set_features(X, y))
-    out.update(principal_component_features(X, y))
-    return out
+    benchmark and correlation studies.
+
+    The groups share one distance matrix.  When the process may run on more
+    than one CPU, a thread started here takes level sets and information
+    content, one at a time, while the calling thread computes the other
+    groups and then takes whichever of the two is left; all only read D,
+    and the thread is joined before this returns.
+    """
+    X = np.asarray(X, dtype=float)
+    D = _pairwise_distances(X)
+    groups = {  # in the dict's key order
+        "fdc": lambda: fdc_features(X, y, lb, ub, D=D),
+        "dispersion": lambda: dispersion_features(X, y, D=D),
+        "information_content": lambda: information_content(X, y, D=D),
+        "nbc": lambda: nbc_features(X, y, D=D),
+        "distribution": lambda: distribution_features(y),
+        "meta_model": lambda: meta_model_features(X, y),
+        "level_set": lambda: level_set_features(X, y),
+        "principal_component": lambda: principal_component_features(X, y),
+    }
+    shared = collections.deque(["level_set", "information_content"])
+    own = [name for name in groups if name not in shared]
+
+    def take():
+        return [(name, groups[name]()) for name in take_each(shared)]
+
+    def here():
+        return [(name, groups[name]()) for name in own] + take()
+
+    parts = run_split([here, take]) if cpu_workers() > 1 else [here()]
+    done = dict(pair for part in parts for pair in part)
+    return {key: value for name in groups for key, value in done[name].items()}
 
 
-FULL_SUITE_FEATURE_NAMES: tuple[str, ...] = tuple(
-    full_suite_features(
-        np.arange(30.0).reshape(10, 3) % 7 - 3.0, np.arange(10.0) % 4, -5.0, 5.0
-    )
+# ELA_FEATURE_NAMES, then the offline groups' names; built from the groups,
+# so importing this module starts no thread
+FULL_SUITE_FEATURE_NAMES: tuple[str, ...] = ELA_FEATURE_NAMES + tuple(
+    name
+    for group in (meta_model_features, level_set_features, principal_component_features)
+    for name in group(np.arange(30.0).reshape(10, 3) % 7 - 3.0, np.arange(10.0) % 4)
 )
 
 

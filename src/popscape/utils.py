@@ -9,21 +9,29 @@ little-endian float64 bytes, which round-trips every bit.
 
 A layout is a tuple of (name, shape) pairs: a flat weight vector holds each
 named array's values in C order, one after another in layout order.
+
+`run_split` runs independent pieces of one call on the CPUs the process may
+use: threads started inside the call and joined before it returns, so no
+thread outlives the call (nothing is left running when a process forks).
 """
 
 from __future__ import annotations
 
 import base64
+import collections
+import contextvars
 import hashlib
 import json
 import math
 import os
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
 
 from .errors import IntegrityError
+
+T = TypeVar("T")
 
 
 def derive_seed(*parts) -> int:
@@ -43,6 +51,47 @@ def array_digest(a: np.ndarray) -> str:
     h = hashlib.blake2b(digest_size=8)
     h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()
+
+
+def cpu_workers() -> int:
+    """How many CPUs this process may run on: its affinity set, or the
+    machine's CPU count where the platform has no affinity call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def run_split(tasks: Sequence[Callable[[], T]]) -> list[T]:
+    """Each task's result, in task order: the first task runs on the calling
+    thread, each other one on a thread started here (none for one task).
+
+    Every thread runs in a copy of the caller's context, so numpy's
+    ``errstate`` (a context variable) holds there too, and every thread is
+    joined before this returns, also when a task raises; the calling
+    thread's exception wins, then the first other one in task order.
+    """
+    if len(tasks) == 1:
+        return [tasks[0]()]
+    # imported here, so processes that never split (desk training) do not
+    # load the executor machinery
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(len(tasks) - 1) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, t) for t in tasks[1:]]
+        first = tasks[0]()
+        return [first, *(f.result() for f in futures)]
+
+
+def take_each(pending: collections.deque) -> Iterator:
+    """Items popped from the left of ``pending`` until it is empty.  Threads
+    iterating over one deque together each get distinct items, since
+    `collections.deque.popleft` is atomic."""
+    while True:
+        try:
+            yield pending.popleft()
+        except IndexError:
+            return
 
 
 def json_sha256(obj) -> str:

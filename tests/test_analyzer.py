@@ -564,9 +564,13 @@ def test_taylor_serves_normal_weights_at_m1000(monkeypatch, heads):
     # the weights perfbench draws: every (slice, head) takes the Taylor path
     net, rng = random_net(AnalyzerConfig(num_heads=heads), 31, scale=0.2)
     monkeypatch.setattr(analyzer, "_shifted_tile", _no_tiles)
-    taylor = count_calls(monkeypatch, "_taylor_rows")
+    slices = []  # (slice, head)s per stacked call
+    taylor = analyzer._taylor_rows
+    monkeypatch.setattr(
+        analyzer, "_taylor_rows", lambda wr, *a: slices.append(len(wr)) or taylor(wr, *a)
+    )
     net.features(random_observation(rng, m=1000, d=10))
-    assert len(taylor) == 10 * heads
+    assert sum(slices) == 10 * heads
 
 
 def tiles_only(monkeypatch):
@@ -644,20 +648,22 @@ def test_ts_attn_forward_runs_in_its_input(monkeypatch, block_bytes):
 
 
 def test_chunked_stacked_forward_is_bit_identical(monkeypatch):
-    # three 9 x 9 or four 7 x 7 two-head score slices per chunk: chunks of
-    # 3, 3, 1 over d = 7 and of 4, 4, 1 over m = 9, so layer 1 reads what
-    # layer 0's chunks wrote back
+    # at most three slices of 9 rows or four of 7 per chunk (a two-head
+    # slice of L rows takes 8 L (3 h + 2 + 2 L) bytes at h = f = 16), cut
+    # equal: chunks of 2, 2, 3 over d = 7 and of 3, 3, 3 over m = 9, so
+    # layer 1 reads what layer 0's chunks wrote back, whichever worker ran
+    # them
     net, rng = random_net(AnalyzerConfig(num_heads=2, num_layers=2), 19)
     E = rng.normal(size=(7, 9, 16))
     whole = ts_attn_forward(E.copy(), net)
-    monkeypatch.setattr(analyzer, "EXACT_BLOCK_BYTES", 3 * 2 * 81 * 8)
+    monkeypatch.setattr(analyzer, "EXACT_BLOCK_BYTES", 3 * 8 * 9 * (3 * 16 + 2 + 2 * 9))
     calls = []
     block = analyzer.self_attention
     monkeypatch.setattr(
         analyzer, "self_attention", lambda x, *a: calls.append(x.shape[0]) or block(x, *a)
     )
     chunked = ts_attn_forward(E, net)
-    assert calls == [3, 3, 1, 4, 4, 1] * 2
+    assert sorted(calls) == sorted([2, 2, 3, 3, 3, 3] * 2)
     assert np.array_equal(chunked.per_candidate, whole.per_candidate)
     assert np.array_equal(chunked.population, whole.population)
 

@@ -174,6 +174,32 @@ def test_tour_is_nearest_neighbor_from_best():
     assert list(tour) == [1, 3, 2, 0]
 
 
+def masked_copy_tour(X, y):
+    """The tour as a loop that copies each row and masks the visited
+    samples, as it was built before its penalty vector."""
+    D = ela._pairwise_distances(X)
+    m = X.shape[0]
+    tour = [int(np.argmin(y))]
+    visited = np.zeros(m, dtype=bool)
+    visited[tour[0]] = True
+    for _ in range(1, m):
+        row = D[tour[-1]].copy()
+        row[visited] = np.inf
+        tour.append(int(np.argmin(row)))
+        visited[tour[-1]] = True
+    return np.array(tour)
+
+
+@pytest.mark.parametrize("m, d", [(50, 10), (1000, 10), (100, 100)])
+def test_tour_matches_masked_copy_loop_on_duplicated_points(m, d):
+    # duplicates tie at distance 0 and tied objectives tie the start; the
+    # first minimum wins both ways
+    X, y = ela_sample(m, d, ties=True)
+    X[1::4] = X[0]
+    y[::5] = y.min()
+    assert np.array_equal(nearest_neighbor_tour(X, y), masked_copy_tour(X, y))
+
+
 # --- nearest better clustering ---------------------------------------------------------
 
 
@@ -231,6 +257,19 @@ def test_nearest_better_leaves_shared_matrix_unchanged(rng):
     own_nn, own_nb = nearest_better_distances(X, y)
     assert np.array_equal(nn, own_nn)
     assert np.array_equal(nb, own_nb, equal_nan=True)
+
+
+def test_nearest_better_only_reads_shared_matrix(rng):
+    # the suite's worker thread reads D meanwhile, so D is never written,
+    # not even for a moment
+    X = rng.uniform(-5, 5, (12, 3))
+    X[7] = X[2]
+    y = rng.normal(size=12)
+    D = ela._pairwise_distances(X)
+    D.flags.writeable = False
+    nn, nb = nearest_better_distances(X, y, D=D)
+    ref_nn, _ = ref_nearest_better(X, y)
+    assert np.allclose(nn, ref_nn, atol=1e-9)
 
 # --- distribution ------------------------------------------------------------------
 
@@ -325,6 +364,41 @@ def test_full_suite_has_offline_groups(rng):
     assert set(FULL_SUITE_FEATURE_NAMES) == set(feats)
     assert "mm_quad_r2" in feats and "ls_mmce_lda_q0.25" in feats
     assert feats["mm_lin_r2"] is not None
+
+
+def per_class_discriminants(X_tr, labels, X_te):
+    """`ela._gaussian_discriminants` as it was before LDA built its pooled
+    covariance once: each class regularises the matrix it uses and takes
+    its log-determinant."""
+    d = X_tr.shape[1]
+    classes, pooled_cov = [], np.zeros((d, d))
+    for c in (False, True):
+        G = X_tr[labels == c]
+        cov = np.cov(G.T, bias=True).reshape(d, d) if G.shape[0] > 1 else np.zeros((d, d))
+        classes.append((G.mean(axis=0), cov, G.shape[0] / X_tr.shape[0]))
+        pooled_cov += cov * G.shape[0]
+    pooled_cov /= X_tr.shape[0]
+    predictions = []
+    for pooled in (True, False):
+        scores = np.empty((X_te.shape[0], 2))
+        for ci, (mean, cov, prior) in enumerate(classes):
+            cov = pooled_cov if pooled else cov
+            cov = cov + np.eye(d) * (1e-8 + 1e-6 * np.trace(cov) / d)
+            diff = X_te - mean
+            maha = np.sum(diff * np.linalg.solve(cov, diff.T).T, axis=1)
+            scores[:, ci] = -0.5 * maha - 0.5 * np.linalg.slogdet(cov)[1] + math.log(prior)
+        predictions.append(scores[:, 1] > scores[:, 0])
+    return tuple(predictions)
+
+
+@pytest.mark.parametrize("m, d", [(1000, 10), (100, 100), (7, 3)])
+def test_discriminants_match_per_class_covariances(m, d):
+    X, y = ela_sample(m, d, ties=True)
+    labels = y <= np.quantile(y, 0.25)
+    train = np.arange(m) % 5 != 0
+    got = ela._gaussian_discriminants(X[train], labels[train], X[~train])
+    want = per_class_discriminants(X[train], labels[train], X[~train])
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_meta_model_fits_quadratic_exactly(rng):
