@@ -24,17 +24,19 @@ buffer's (m, d, h) transposed view and adds the positional encoding to
 them in place, and pooling reads the buffer.
 
 A block with one chunk runs on the calling thread, as every desk-size
-(m = 50, d = 10) block does.  A block with more than one chunk splits its
-slices into contiguous runs for up to `cpu_workers` workers, the CPUs the
-process may run on (its affinity set): the calling thread takes one run
-and threads started inside the call take the others; all are joined
-before the block returns, so no thread outlives a forward.  Each worker
-runs the serial path's arithmetic on its own slices, so the output is the
-same bit for bit at any worker count.  The calling thread allocates each
-worker's chunk buffers (`_Buffers`) once per call, so the workers allocate
-next to nothing in their own malloc arenas.  BLAS threads are left to the
-environment.  Peak memory is the embedding plus one chunk's buffers per
-worker.
+(m = 50, d = 10) block does.  A block with more than one chunk cuts its
+slices into equal chunks of at most `EXACT_BLOCK_BYTES`, which up to
+`cpu_workers` workers (the CPUs the process may run on, its affinity set)
+take one at a time from a shared queue: the calling thread and threads
+started inside the call, all joined before the block returns, so no thread
+outlives a forward.  The workers' chunk buffers (`_Buffers`) hold at most
+two full chunks' bytes together, so on machines with more CPUs a block
+runs on fewer workers than CPUs and its memory does not grow with them.
+Each worker runs the serial path's arithmetic on its own slices, so the
+output is the same bit for bit at any worker count.  The calling thread
+allocates the workers' buffers once per call, so the workers allocate next
+to nothing in their own malloc arenas.  BLAS threads are left to the
+environment.  Peak memory is the embedding plus two chunks' buffers.
 
 Layer 0's cross-solution stage has a rank-2 path.  Its input is
 ``U @ w_emb`` for the 2-channel tensor U = `pie_normalize(obs)`, so its
@@ -473,7 +475,9 @@ def attn_block(
     More than one are cut equal and go to up to `cpu_workers` workers, the
     calling thread and threads started here, each taking the next chunk
     when it is done with its last; each worker's `_Buffers` are allocated
-    here, on the calling thread, for the whole call.
+    here, on the calling thread, for the whole call.  The workers' buffers
+    together hold at most ``2 * EXACT_BLOCK_BYTES`` (two slices' when one
+    slice is larger), which caps the workers on machines with more CPUs.
 
     ``pe`` (L, h), if given, is first added to each chunk's slices, so the
     block runs on ``x + pe``.
@@ -503,8 +507,10 @@ def attn_block(
     bounds = [n * c // chunks for c in range(chunks + 1)]
     pending = collections.deque(zip(bounds, bounds[1:]))
     rows = -(-n // chunks)
-    workers = min(cpu_workers(), chunks)
     size = rows * _slice_bytes(L, p, num_heads, u is not None) // 8
+    # the workers' buffers hold at most two full chunks' bytes together (two
+    # slices' where one is larger), whatever the machine's CPU count
+    workers = min(cpu_workers(), chunks, max(2, 2 * EXACT_BLOCK_BYTES // (8 * size)))
     block = np.empty(workers * size)  # every worker's buffers, freed whole
     run_split(
         [

@@ -40,7 +40,7 @@ from __future__ import annotations
 import collections
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -356,14 +356,23 @@ def ela_features(
     """The in-run baseline: concatenation of the five cheap groups, which
     share one distance matrix."""
     X = np.asarray(X, dtype=float)
-    D = _pairwise_distances(X)
     out: dict[str, Feature] = {}
-    out.update(fdc_features(X, y, lb, ub, D=D))
-    out.update(dispersion_features(X, y, quantiles, D=D))
-    out.update(information_content(X, y, D=D))
-    out.update(nbc_features(X, y, D=D))
-    out.update(distribution_features(y))
+    for group in _cheap_groups(X, y, lb, ub, _pairwise_distances(X), quantiles).values():
+        out.update(group())
     return out
+
+
+def _cheap_groups(
+    X, y, lb, ub, D, quantiles=DEFAULT_QUANTILES
+) -> dict[str, Callable[[], dict]]:
+    """The in-run groups, name: call, in feature-vector order; all read D."""
+    return {
+        "fdc": lambda: fdc_features(X, y, lb, ub, D=D),
+        "dispersion": lambda: dispersion_features(X, y, quantiles, D=D),
+        "information_content": lambda: information_content(X, y, D=D),
+        "nbc": lambda: nbc_features(X, y, D=D),
+        "distribution": lambda: distribution_features(y),
+    }
 
 
 ELA_FEATURE_NAMES: tuple[str, ...] = tuple(
@@ -536,18 +545,7 @@ def full_suite_features(X, y, lb=None, ub=None) -> dict[str, Feature]:
     groups and then takes whichever of the two is left; all only read D,
     and the thread is joined before this returns.
     """
-    X = np.asarray(X, dtype=float)
-    D = _pairwise_distances(X)
-    groups = {  # in the dict's key order
-        "fdc": lambda: fdc_features(X, y, lb, ub, D=D),
-        "dispersion": lambda: dispersion_features(X, y, D=D),
-        "information_content": lambda: information_content(X, y, D=D),
-        "nbc": lambda: nbc_features(X, y, D=D),
-        "distribution": lambda: distribution_features(y),
-        "meta_model": lambda: meta_model_features(X, y),
-        "level_set": lambda: level_set_features(X, y),
-        "principal_component": lambda: principal_component_features(X, y),
-    }
+    groups = _suite_groups(np.asarray(X, dtype=float), y, lb, ub)
     shared = collections.deque(["level_set", "information_content"])
     own = [name for name in groups if name not in shared]
 
@@ -562,12 +560,25 @@ def full_suite_features(X, y, lb=None, ub=None) -> dict[str, Feature]:
     return {key: value for name in groups for key, value in done[name].items()}
 
 
-# ELA_FEATURE_NAMES, then the offline groups' names; built from the groups,
-# so importing this module starts no thread
-FULL_SUITE_FEATURE_NAMES: tuple[str, ...] = ELA_FEATURE_NAMES + tuple(
+def _suite_groups(X, y, lb, ub) -> dict[str, Callable[[], dict]]:
+    """Every group, name: call, in feature-vector order: the in-run ones
+    sharing one distance matrix, then the offline-only ones."""
+    return {
+        **_cheap_groups(X, y, lb, ub, _pairwise_distances(X)),
+        "meta_model": lambda: meta_model_features(X, y),
+        "level_set": lambda: level_set_features(X, y),
+        "principal_component": lambda: principal_component_features(X, y),
+    }
+
+
+# built by calling the groups in turn, so importing this module starts no
+# thread
+FULL_SUITE_FEATURE_NAMES: tuple[str, ...] = tuple(
     name
-    for group in (meta_model_features, level_set_features, principal_component_features)
-    for name in group(np.arange(30.0).reshape(10, 3) % 7 - 3.0, np.arange(10.0) % 4)
+    for group in _suite_groups(
+        np.arange(30.0).reshape(10, 3) % 7 - 3.0, np.arange(10.0) % 4, -5.0, 5.0
+    ).values()
+    for name in group()
 )
 
 

@@ -21,6 +21,7 @@ from popscape import analyzer, ela, utils
 from popscape.analyzer import AnalyzerConfig, Observation, attn_block, decode_params, param_count
 from popscape.ela import full_suite_features
 
+from . import test_analyzer, test_ela
 from .golden import ela_sample
 
 TIMEOUT_S = 120
@@ -139,6 +140,26 @@ def test_full_suite_is_bit_identical_at_any_worker_count(workers, m, d):
     assert list(split) == list(serial) == list(ela.FULL_SUITE_FEATURE_NAMES)
     values = [np.array([np.nan if v is None else v for v in f.values()]) for f in (split, serial)]
     assert np.array_equal(*values, equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "peak_test",
+    [
+        test_analyzer.test_large_forward_holds_cache_sized_chunks,
+        test_analyzer.test_large_forward_drops_its_embedding,
+        test_analyzer.test_rank2_forward_peak_memory_no_higher_than_exact,
+        test_analyzer.test_rank2_core_holds_one_tile_of_scores,
+        test_ela.test_suite_holds_one_square_array,
+    ],
+    ids=lambda t: t.__name__,
+)
+def test_traced_peaks_hold_at_eight_workers(workers, peak_test):
+    # the workers' chunk buffers are capped in bytes, not by the CPU count,
+    # so each traced-peak bound holds as it is on a machine with eight CPUs
+    splits = workers(8)
+    within_timeout(peak_test)
+    if peak_test is not test_analyzer.test_rank2_core_holds_one_tile_of_scores:
+        assert splits and max(splits) > 1  # the measured calls did split
 
 
 def test_threaded_calls_leave_no_thread_behind(workers):
