@@ -91,7 +91,6 @@ from .utils import (
     layout_size,
     read_sealed,
     run_split,
-    take_each,
     unpack,
     write_sealed,
 )
@@ -176,9 +175,14 @@ class Observation:
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.X, dtype=float))
         y = np.asarray(self.y, dtype=float).reshape(-1)
+        if X.ndim != 2 or X.shape[1] < 1:
+            raise ConfigError(f"positions must be an (m, d) array with d >= 1, not {X.shape}")
         d = X.shape[1]
-        lb = np.broadcast_to(np.asarray(self.lb, dtype=float), (d,)).copy()
-        ub = np.broadcast_to(np.asarray(self.ub, dtype=float), (d,)).copy()
+        try:
+            lb = np.broadcast_to(np.asarray(self.lb, dtype=float), (d,)).copy()
+            ub = np.broadcast_to(np.asarray(self.ub, dtype=float), (d,)).copy()
+        except ValueError:
+            raise ConfigError(f"bounds do not broadcast to d = {d} values") from None
         if X.shape[0] < 2:
             raise ConfigError("observation needs at least 2 candidates")
         if X.shape[0] != y.shape[0]:
@@ -526,8 +530,12 @@ def attn_block(
 
 def _run_chunks(pending, x, u, p, num_heads, pe, maps, buf) -> None:
     """`_chunk_forward` over the (lo, hi) slice ranges this worker takes
-    from ``pending``, with ``buf`` sized for the longest."""
-    for lo, hi in take_each(pending):
+    from ``pending`` until none is left, with ``buf`` sized for the longest."""
+    while True:
+        try:  # `collections.deque.popleft` is atomic: no two workers take one chunk
+            lo, hi = pending.popleft()
+        except IndexError:
+            return
         part = buf if hi - lo == len(buf.a) else buf.first(hi - lo)
         _chunk_forward(x[lo:hi], None if u is None else u[lo:hi], p, num_heads, pe, maps, part)
 
@@ -607,8 +615,7 @@ def _rank2_attention(
     pu = _or_new(buf.pu, (n, heads, L, 3))  # P U | row sums
     ratios = _or_new(buf.ratios, (n, L, heads, 2))
     reach = ratios.reshape(2, -1)[:, : n * L].reshape(2, n, L)  # |wr_x|, |wr_y|
-    keys = np.ones((L, 3))  # [U | 1], filled for the tiles
-    tiles = None  # the tiles' scores and [W | -shift], made on first use
+    tiles = None  # the tiles' scores and [W | -shift], made with their keys on first use
     for k in range(heads):
         # (n, 2, L): the queries, as 2-vectors against U, times the half-widths
         wr = np.matmul(a[k].T, keys_t[:, :2], out=buf.wr)
@@ -624,6 +631,7 @@ def _rank2_attention(
             if tiles is None:
                 rows = max(1, min(L, RANK2_TILE_BYTES // (L * 8)))
                 tiles = np.empty((rows, L)), np.empty((rows, 3))
+                keys = np.ones((L, 3))  # [U | 1], filled per slice
             keys[:, :2] = u[i]
             _tiled_rows(u[i] @ a[k], keys, pu[i, k], *tiles)
         for p, idx in by_degree.items():

@@ -26,18 +26,18 @@ gaps and the nearest-better search run in row blocks of at most
 mask.  No group writes into a D it is given.
 
 `full_suite_features` runs on the CPUs the process may use (its affinity
-set, `cpu_workers`): with more than one, a thread started inside the call
-computes level sets and information content, whose arrays are all small,
-while the calling thread computes the other groups from the same D and
-then takes whichever of the two the thread has not started; the thread is
-joined before the call returns, and the output is the same bit for bit as
-on one CPU.  `ela_features`, the in-run baseline, always runs on the
-calling thread.  BLAS threads are left to the environment.
+set, `cpu_workers`), on two fixed lists: with more than one, a thread
+started inside the call computes level sets and then information content,
+whose arrays are all small, while the calling thread computes the other six
+groups from the same D; with one, the calling thread computes all eight.
+The thread is joined before the call returns, and the output is the same
+bit for bit as on one CPU.  `ela_features`, the in-run baseline, always
+runs on the calling thread.  BLAS threads are left to the environment.
 """
 
 from __future__ import annotations
 
-import collections
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -45,7 +45,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .analyzer import Observation
-from .utils import cpu_workers, run_split, take_each
+from .utils import cpu_workers, run_split
 
 Feature = Optional[float]
 
@@ -539,24 +539,19 @@ def full_suite_features(X, y, lb=None, ub=None) -> dict[str, Feature]:
     """All groups, including the offline-only ones; used for the wall-time
     benchmark and correlation studies.
 
-    The groups share one distance matrix.  When the process may run on more
-    than one CPU, a thread started here takes level sets and information
-    content, one at a time, while the calling thread computes the other
-    groups and then takes whichever of the two is left; all only read D,
-    and the thread is joined before this returns.
+    The groups share one distance matrix, which they only read.  With more
+    than one CPU, a thread computes level sets and then information content
+    while the calling thread computes the other six (see the module notes).
     """
     groups = _suite_groups(np.asarray(X, dtype=float), y, lb, ub)
-    shared = collections.deque(["level_set", "information_content"])
-    own = [name for name in groups if name not in shared]
+    away = ("level_set", "information_content") if cpu_workers() > 1 else ()
+    lists = [[name for name in groups if name not in away], away]
 
-    def take():
-        return [(name, groups[name]()) for name in take_each(shared)]
+    def run(names):
+        return {name: groups[name]() for name in names}
 
-    def here():
-        return [(name, groups[name]()) for name in own] + take()
-
-    parts = run_split([here, take]) if cpu_workers() > 1 else [here()]
-    done = dict(pair for part in parts for pair in part)
+    parts = run_split([functools.partial(run, names) for names in lists if names])
+    done = {name: group for part in parts for name, group in part.items()}
     return {key: value for name in groups for key, value in done[name].items()}
 
 

@@ -18,14 +18,13 @@ thread outlives the call (nothing is left running when a process forks).
 from __future__ import annotations
 
 import base64
-import collections
 import contextvars
 import hashlib
 import json
 import math
 import os
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -81,17 +80,6 @@ def run_split(tasks: Sequence[Callable[[], T]]) -> list[T]:
         futures = [pool.submit(contextvars.copy_context().run, t) for t in tasks[1:]]
         first = tasks[0]()
         return [first, *(f.result() for f in futures)]
-
-
-def take_each(pending: collections.deque) -> Iterator:
-    """Items popped from the left of ``pending`` until it is empty.  Threads
-    iterating over one deque together each get distinct items, since
-    `collections.deque.popleft` is atomic."""
-    while True:
-        try:
-            yield pending.popleft()
-        except IndexError:
-            return
 
 
 def json_sha256(obj) -> str:

@@ -27,7 +27,7 @@ from popscape.analyzer import (
     save_checkpoint,
     ts_attn_forward,
 )
-from popscape.errors import CodecError, IntegrityError
+from popscape.errors import CodecError, ConfigError, IntegrityError
 
 from .golden import DATA
 from .reference import (
@@ -51,6 +51,22 @@ def random_observation(rng, m=6, d=3):
         lb=-5 * np.ones(d),
         ub=5 * np.ones(d),
     )
+
+
+@pytest.mark.parametrize(
+    "X, lb, match",
+    [
+        (np.zeros((5, 0)), -5.0, r"\(m, d\) array"),
+        (np.zeros((4, 2, 3)), -5.0, r"\(m, d\) array"),
+        (np.zeros((4, 3)), [-5.0, -5.0], "broadcast to d = 3"),
+    ],
+    ids=["zero_dimensions", "three_axes", "two_bounds_for_three_dimensions"],
+)
+def test_observation_rejects_bad_shapes(X, lb, match):
+    # each was accepted or failed late: d = 0 in the forward's reshape and
+    # in ela_features, the 2-value bound with a raw numpy ValueError
+    with pytest.raises(ConfigError, match=match):
+        Observation(X=X, y=np.zeros(len(X)), lb=lb, ub=5.0)
 
 
 # --- PIE ------------------------------------------------------------------

@@ -142,6 +142,44 @@ def test_full_suite_is_bit_identical_at_any_worker_count(workers, m, d):
     assert np.array_equal(*values, equal_nan=True)
 
 
+THREAD_GROUPS = ["level_set", "information_content"]
+
+
+@pytest.mark.parametrize("count", [1, 2, 8])
+def test_full_suite_runs_two_fixed_lists(monkeypatch, workers, count):
+    # with a second CPU, one thread computes level sets and then information
+    # content, and the caller the other six groups in feature order; with
+    # one, the caller computes all eight and no thread starts
+    ran = []
+    suite_groups = ela._suite_groups
+
+    def recorded(name, call):
+        def run():
+            ran.append((name, threading.get_ident()))
+            return call()
+
+        return run
+
+    monkeypatch.setattr(
+        ela, "_suite_groups",
+        lambda *a: {name: recorded(name, call) for name, call in suite_groups(*a).items()},
+    )
+    X, y = ela_sample(100, 10, ties=False)
+    splits = workers(count)
+    caller = within_timeout(lambda: [threading.get_ident(), full_suite_features(X, y)])[0]
+    names = list(suite_groups(X, y, None, None))  # feature order
+    here = [name for name, ident in ran if ident == caller]
+    away = [(name, ident) for name, ident in ran if ident != caller]
+    if count == 1:
+        assert splits == [1]
+        assert here == names and not away
+    else:
+        assert splits == [2]
+        assert here == [name for name in names if name not in THREAD_GROUPS]
+        assert [name for name, _ in away] == THREAD_GROUPS
+        assert len({ident for _, ident in away}) == 1
+
+
 @pytest.mark.parametrize(
     "peak_test",
     [
