@@ -142,9 +142,6 @@ def test_full_suite_is_bit_identical_at_any_worker_count(workers, m, d):
     assert np.array_equal(*values, equal_nan=True)
 
 
-THREAD_GROUPS = ["level_set", "information_content"]
-
-
 @pytest.mark.parametrize("count", [1, 2, 8])
 def test_full_suite_runs_two_fixed_lists(monkeypatch, workers, count):
     # with a second CPU, one thread computes level sets and then information
@@ -175,8 +172,9 @@ def test_full_suite_runs_two_fixed_lists(monkeypatch, workers, count):
         assert here == names and not away
     else:
         assert splits == [2]
-        assert here == [name for name in names if name not in THREAD_GROUPS]
-        assert [name for name, _ in away] == THREAD_GROUPS
+        thread_groups = ["level_set", "information_content"]
+        assert here == [name for name in names if name not in thread_groups]
+        assert [name for name, _ in away] == thread_groups
         assert len({ident for _, ident in away}) == 1
 
 
