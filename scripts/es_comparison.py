@@ -8,23 +8,13 @@ from pathlib import Path
 import numpy as np
 
 from popscape.es import EsConfig, EsVariant, minimize, trace_to_csv
+from popscape.problems import FUNCTIONS
 
-
-def sphere(X):
-    return np.sum(X * X, axis=1)
-
-
-def ellipsoid(X):
-    d = X.shape[1]
-    return (X * X) @ (10.0 ** (6.0 * np.arange(d) / (d - 1)))
-
-
-def rosenbrock(X):
-    a, b = X[:, :-1], X[:, 1:]
-    return np.sum(100.0 * (a * a - b) ** 2 + (a - 1.0) ** 2, axis=1)
-
-
-PROBLEMS = {"sphere": sphere, "ellipsoid": ellipsoid, "rosenbrock": rosenbrock}
+PROBLEMS = {
+    "sphere": FUNCTIONS[1].evaluate,
+    "ellipsoid": FUNCTIONS[2].evaluate,
+    "rosenbrock": FUNCTIONS[8].evaluate,
+}
 
 
 def main():

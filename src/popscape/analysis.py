@@ -85,7 +85,6 @@ class FeatureSeries:
 
     rows: np.ndarray  # (n, k)
     feature_names: tuple[str, ...]
-    source: str
     labels: list = field(default_factory=list)
     trajectories: Optional[np.ndarray] = None  # (n,) int ids
 
@@ -352,14 +351,12 @@ def exploration_study(
     neural_series = FeatureSeries(
         rows=np.asarray(neural_rows),
         feature_names=extractor.names,
-        source="neural",
         labels=list(labels),
         trajectories=traj,
     )
     ela_series = FeatureSeries(
         rows=np.asarray(ela_rows),
         feature_names=classical.names,
-        source="ela",
         labels=list(labels),
         trajectories=traj,
     )

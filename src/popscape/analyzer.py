@@ -83,8 +83,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import CodecError, ConfigError, IntegrityError
+from .errors import ConfigError, IntegrityError
 from .utils import (
+    check_flat,
     cpu_workers,
     f8_from_b64,
     f8_to_b64,
@@ -155,13 +156,6 @@ class AnalyzerConfig:
         if self.ff_inner_dim is None:
             object.__setattr__(self, "ff_inner_dim", self.hidden_dim)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AnalyzerConfig":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class Observation:
@@ -222,12 +216,7 @@ class ParamVector:
         object.__setattr__(
             self, "values", np.asarray(self.values, dtype=float).reshape(-1)
         )
-        expected = layout_size(self.layout)
-        if self.values.shape[0] != expected:
-            raise CodecError(
-                f"vector length {self.values.shape[0]} does not match layout "
-                f"total {expected}"
-            )
+        check_flat(self.values, self.layout)
 
 
 @dataclass
@@ -873,7 +862,7 @@ def encode_params(net: PopulationEncoder) -> ParamVector:
     for name, shape in lay:
         t = _tensor(net, name)
         if t.shape != shape:
-            raise CodecError(f"tensor {name} has shape {t.shape}, layout says {shape}")
+            raise ConfigError(f"tensor {name} has shape {t.shape}, layout says {shape}")
         parts.append(np.asarray(t, dtype=float).ravel())
     return ParamVector(values=np.concatenate(parts), layout=lay)
 
@@ -882,11 +871,6 @@ def decode_params(vector, config: AnalyzerConfig) -> PopulationEncoder:
     """Rebuild the network from a flat vector; exact inverse of encode_params."""
     lay = layout(config)
     values = vector.values if isinstance(vector, ParamVector) else np.asarray(vector, dtype=float).reshape(-1)
-    if values.shape[0] != layout_size(lay):
-        raise CodecError(
-            f"parameter vector has length {values.shape[0]}, expected "
-            f"{layout_size(lay)} for config {config.to_dict()}"
-        )
     tensors = unpack(values, lay)
     net = PopulationEncoder(config=config, w_emb=tensors["w_emb"])
     for i in range(config.num_layers):
@@ -910,7 +894,7 @@ def _checkpoint_payload(
     return {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "config": config.to_dict(),
+        "config": asdict(config),
         "layout": [[name, list(shape)] for name, shape in packed.layout],
         "param_count": packed.values.shape[0],
         "dtype": "<f8",
@@ -929,7 +913,7 @@ def save_checkpoint(
 def load_checkpoint(path) -> tuple[AnalyzerConfig, np.ndarray, dict]:
     """Read a checkpoint; bit-exact round trip of theta, verified by checksum."""
     payload = read_sealed(path, CHECKPOINT_FORMAT)
-    config = AnalyzerConfig.from_dict(payload["config"])
+    config = AnalyzerConfig(**payload["config"])
     theta = f8_from_b64(payload["theta_b64"])
     if theta.shape[0] != payload["param_count"]:
         raise IntegrityError(f"checkpoint {path} has a truncated parameter vector")

@@ -133,8 +133,8 @@ def load_train_config(path) -> TrainingRunConfig:
     given = {key: data[key] for key in ("q_runs", "seed") if key in data}
     given.update({_OUTER_FIELDS[key]: value for key, value in outer.items()})
     return TrainingRunConfig(
-        tasks=tuple(TaskSpec.from_dict(t) for t in data["tasks"]),
-        analyzer=AnalyzerConfig.from_dict(data.get("analyzer") or {}),
+        tasks=tuple(TaskSpec(**t) for t in data["tasks"]),
+        analyzer=AnalyzerConfig(**(data.get("analyzer") or {})),
         **given,
     )
 
@@ -281,7 +281,7 @@ def cmd_train(args) -> int:
             raise ConfigError(f"resume directory {run_dir} does not exist")
     else:
         run_dir = _run_directory(args, run.seed)
-    config_text = json.dumps(run.to_dict(), indent=1, sort_keys=True)
+    config_text = json.dumps(dataclasses.asdict(run), indent=1, sort_keys=True)
     write_atomic(run_dir / "config.json", config_text)
     result = train(run, run_dir, jobs=args.jobs, resume=bool(args.resume))
     print(f"run directory: {result.outdir}")
@@ -314,7 +314,7 @@ def cmd_evaluate(args) -> int:
     }
     text = json.dumps(payload, indent=1, sort_keys=True)
     if args.output:
-        Path(args.output).write_text(text)
+        write_atomic(args.output, text)
     print(text)
     return EXIT_OK
 
@@ -327,7 +327,7 @@ def cmd_extract(args) -> int:
         config, theta, _ = load_checkpoint(args.extractor)
         extractor = make_slot_extractor("neural", theta, config)
     rows = [dict(zip(extractor.names, extractor.extract(obs)[1])) for obs in observations]
-    Path(args.output).write_text(features_to_csv(rows, extractor.names))
+    write_atomic(args.output, features_to_csv(rows, extractor.names))
     print(f"wrote {len(rows)} feature rows to {args.output}")
     return EXIT_OK
 
@@ -346,9 +346,9 @@ def cmd_bench(args) -> int:
         seed=grid.seed,
     )
     out = Path(args.output)
-    out.write_text(timings_to_table_csv(rows))
+    write_atomic(out, timings_to_table_csv(rows))
     detail = out.with_name(out.stem + "_detail.csv")
-    detail.write_text(timings_to_csv(rows))
+    write_atomic(detail, timings_to_csv(rows))
     print(f"wrote timing table to {out} (per-run detail in {detail})")
     return EXIT_OK
 
@@ -369,22 +369,16 @@ def cmd_analyze(args) -> int:
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     if args.kind == "rq3":
-        (outdir / "neural_points.csv").write_text(
-            point_cloud_csv(study.neural_projection, study.labels)
-        )
-        (outdir / "ela_points.csv").write_text(
-            point_cloud_csv(study.ela_projection, study.labels)
-        )
+        for name, points in (("neural", study.neural_projection), ("ela", study.ela_projection)):
+            write_atomic(outdir / f"{name}_points.csv", point_cloud_csv(points, study.labels))
         print(f"wrote labeled point clouds to {outdir}")
     else:
         matrix = pearson_matrix(study.ela, study.neural)
-        (outdir / "correlation.csv").write_text(correlation_to_csv(matrix))
+        write_atomic(outdir / "correlation.csv", correlation_to_csv(matrix))
         counts_lines = ["feature," + ",".join(matrix.col_names)]
         for name, row in zip(matrix.row_names, matrix.counts):
             counts_lines.append(name + "," + ",".join(str(int(c)) for c in row))
-        (outdir / "correlation_counts.csv").write_text(
-            "\n".join(counts_lines) + "\n"
-        )
+        write_atomic(outdir / "correlation_counts.csv", "\n".join(counts_lines) + "\n")
         strong = strong_pairs(matrix)
         print(
             f"wrote correlation matrix to {outdir} "

@@ -7,7 +7,3 @@ class ConfigError(ValueError):
 
 class IntegrityError(RuntimeError):
     """A checkpoint or cache file failed its integrity check."""
-
-
-class CodecError(ValueError):
-    """A flat parameter vector does not match the expected layout."""

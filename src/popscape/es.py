@@ -78,13 +78,6 @@ class EsConfig:
         if self.path_lr is None:
             object.__setattr__(self, "path_lr", 2.0 / (self.dim + 5.0))
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EsConfig":
-        return cls(**d)
-
 
 def recombination_weights(population: int) -> tuple[np.ndarray, float]:
     """Normalized log-decreasing weights over the top floor(N/2) candidates."""
@@ -374,7 +367,7 @@ _STATE_FIELDS = tuple(f.name for f in fields(EsState) if f.name not in ("cfg", "
 
 def state_to_dict(state: EsState) -> dict:
     d = {name: _enc(getattr(state, name)) for name in _STATE_FIELDS}
-    d["cfg"] = state.cfg.to_dict()
+    d["cfg"] = asdict(state.cfg)
     d["rng_state"] = state.rng.bit_generator.state
     return d
 
@@ -383,7 +376,7 @@ def state_from_dict(d: dict) -> EsState:
     rng = np.random.Generator(np.random.PCG64())
     rng.bit_generator.state = d["rng_state"]
     values = {name: _dec(d[name]) for name in _STATE_FIELDS}
-    return EsState(cfg=EsConfig.from_dict(d["cfg"]), rng=rng, **values)
+    return EsState(cfg=EsConfig(**d["cfg"]), rng=rng, **values)
 
 
 # --- minimization driver ------------------------------------------------------

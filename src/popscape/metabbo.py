@@ -13,7 +13,7 @@ runs.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -168,11 +168,6 @@ class MetaPolicy:
 def policy_decode(vector: np.ndarray, template: PolicyTemplate, in_width: int) -> MetaPolicy:
     vector = np.asarray(vector, dtype=float).reshape(-1)
     lay = policy_layout(template, in_width)
-    if vector.shape[0] != layout_size(lay):
-        raise ConfigError(
-            f"policy vector has length {vector.shape[0]}, expected {layout_size(lay)} "
-            f"for feature width {in_width}"
-        )
     return MetaPolicy(template=template, in_width=in_width, **unpack(vector, lay))
 
 
@@ -208,8 +203,7 @@ class TaskSpec:
             object.__setattr__(self, "noise", NoiseModel(**self.noise))
         object.__setattr__(self, "train_functions", tuple(self.train_functions))
         object.__setattr__(self, "test_functions", tuple(self.test_functions))
-        if self.optimizer not in ("de", "pso"):
-            raise ConfigError(f"unknown optimizer kind {self.optimizer!r}")
+        self.template()  # raises ConfigError on an unknown optimizer kind
         # Training and evaluation always evolve the neural encoder; the field
         # stays because run digests, baseline-cache keys and checkpoints hold it.
         if self.analyzer_slot != "neural":
@@ -239,13 +233,6 @@ class TaskSpec:
 
     def template(self) -> PolicyTemplate:
         return policy_template_for(self.optimizer, self.policy_hidden)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TaskSpec":
-        return cls(**d)
 
 
 def make_instance(task: TaskSpec, function_id: int, instance_seed: int) -> Problem:
@@ -583,15 +570,20 @@ def upsilon_from_fstars(
     return value, per_problem, z_table
 
 
-def relative_performance(
-    extractor, task: TaskSpec, baseline: BaselineStats, q_runs: int, seed_base: int
-) -> UpsilonResult:
-    """Mean z-score of the candidate pipeline against the cached baseline."""
+def check_baseline(task: TaskSpec, baseline: BaselineStats) -> None:
+    """Raise ConfigError unless `baseline` has stats for every test problem."""
     missing = [fid for fid in task.test_functions if fid not in baseline.stats]
     if missing:
         raise ConfigError(
             f"baseline stats for task {task.id} missing problems {missing}"
         )
+
+
+def relative_performance(
+    extractor, task: TaskSpec, baseline: BaselineStats, q_runs: int, seed_base: int
+) -> UpsilonResult:
+    """Mean z-score of the candidate pipeline against the cached baseline."""
+    check_baseline(task, baseline)
     trained, fstars, fe_test = train_and_test(task, extractor, q_runs, seed_base)
     value, per_problem, z_table = upsilon_from_fstars(task, baseline, fstars)
     return UpsilonResult(

@@ -33,6 +33,7 @@ from .metabbo import (
     NeuralExtractor,
     TaskSpec,
     UpsilonResult,
+    check_baseline,
     compute_baseline,
     mean_return,
     policy_encode,
@@ -94,9 +95,6 @@ class TrainingRunConfig:
             seed=derive_seed(self.seed, "outer-es"),
         )
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def digest(self) -> str:
         """Resume-compatibility key.
 
@@ -104,7 +102,7 @@ class TrainingRunConfig:
         evolution-strategy state and seeds derived from the generation index,
         so a checkpoint may be resumed under a longer horizon.
         """
-        d = self.to_dict()
+        d = asdict(self)
         d.pop("max_generations")
         return json_sha256(d)[:16]
 
@@ -128,7 +126,7 @@ def compute_baselines(
     dirty = False
     for task in tasks:
         seed_base = derive_seed(seed, "baseline")
-        key = f"{task.id}|{json_sha256(task.to_dict())[:16]}|q{q_runs}|s{seed_base}"
+        key = f"{task.id}|{json_sha256(asdict(task))[:16]}|q{q_runs}|s{seed_base}"
         if key in cache:
             out[task.id] = _cached_baseline(cache_path, key, cache[key], task, q_runs, seed_base)
             continue
@@ -254,7 +252,7 @@ def _save_trainer_checkpoint(outdir, run, state, best, records, generation) -> N
             "format": TRAINER_CHECKPOINT_FORMAT,
             "version": TRAINER_CHECKPOINT_VERSION,
             "run_digest": run.digest(),
-            "run": run.to_dict(),
+            "run": asdict(run),
             "generation": generation,
             "es_state": state_to_dict(state),
             "best": stored_best,
@@ -416,6 +414,7 @@ def fine_tune(
     seed_base = derive_seed(seed, "evaluate")
     if baseline is None:
         baseline = compute_baseline(task, q_runs, derive_seed(seed, "baseline"))
+    check_baseline(task, baseline)
     extractor0 = NeuralExtractor(decode_params(theta, analyzer_cfg))
     trained, fstars0, _ = train_and_test(task, extractor0, q_runs, seed_base)
     ups0, per_problem, z_table = upsilon_from_fstars(task, baseline, fstars0)

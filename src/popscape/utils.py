@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import IntegrityError
+from .errors import ConfigError, IntegrityError
 
 T = TypeVar("T")
 
@@ -103,9 +103,17 @@ def layout_size(layout) -> int:
     return sum(math.prod(shape) for _, shape in layout)
 
 
+def check_flat(vector: np.ndarray, layout) -> None:
+    """Raise ConfigError unless `vector` is flat and `layout_size(layout)` long."""
+    size = layout_size(layout)
+    if vector.shape != (size,):
+        raise ConfigError(f"vector has shape {vector.shape}; its layout needs length {size}")
+
+
 def unpack(vector: np.ndarray, layout) -> dict[str, np.ndarray]:
     """Each layout name mapped to a writable copy of its slice of `vector`,
-    reshaped; `vector` is flat and `layout_size(layout)` long."""
+    reshaped; raises ConfigError unless `vector` fits (`check_flat`)."""
+    check_flat(vector, layout)
     arrays, pos = {}, 0
     for name, shape in layout:
         n = math.prod(shape)

@@ -252,7 +252,7 @@ def main(out: Path = DATA) -> None:
         for name in RUN_FILES:
             shutil.copy(Path(tmp) / name, run_dir)
     (run_dir / "config.json").write_text(
-        json.dumps(golden_run().to_dict(), indent=1, sort_keys=True)
+        json.dumps(asdict(golden_run()), indent=1, sort_keys=True)
     )
 
 

@@ -335,7 +335,7 @@ def test_criterion_8_analysis_correctness():
     col = rng.normal(size=10_000)
 
     def one_col(v, name):
-        return FeatureSeries(rows=v[:, None], feature_names=(name,), source="t")
+        return FeatureSeries(rows=v[:, None], feature_names=(name,))
 
     self_r = pearson_matrix(one_col(col, "a"), one_col(col, "a")).entries[0, 0]
     neg_r = pearson_matrix(one_col(col, "a"), one_col(-col, "a")).entries[0, 0]

@@ -96,9 +96,7 @@ def test_pca_sign_convention(rng):
 
 
 def series(rows, names, traj=None):
-    return FeatureSeries(
-        rows=np.asarray(rows), feature_names=tuple(names), source="test", trajectories=traj
-    )
+    return FeatureSeries(rows=np.asarray(rows), feature_names=tuple(names), trajectories=traj)
 
 
 def test_self_correlation_is_one(rng):

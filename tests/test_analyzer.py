@@ -27,7 +27,7 @@ from popscape.analyzer import (
     save_checkpoint,
     ts_attn_forward,
 )
-from popscape.errors import CodecError, ConfigError, IntegrityError
+from popscape.errors import ConfigError, IntegrityError
 
 from .golden import DATA
 from .reference import (
@@ -808,15 +808,15 @@ def test_codec_round_trip_bit_exact(h, layers, seed):
 
 def test_decode_reports_expected_and_actual_length():
     cfg = AnalyzerConfig()
-    with pytest.raises(CodecError, match="10"):
+    with pytest.raises(ConfigError, match="10"):
         decode_params(np.zeros(10), cfg)
-    with pytest.raises(CodecError, match="3296"):
+    with pytest.raises(ConfigError, match="3296"):
         decode_params(np.zeros(10), cfg)
 
 
 def test_param_vector_layout_consistency():
     cfg = AnalyzerConfig()
-    with pytest.raises(CodecError):
+    with pytest.raises(ConfigError, match=r"\(5,\).*3296"):
         ParamVector(values=np.zeros(5), layout=layout(cfg))
 
 

@@ -375,6 +375,51 @@ def test_bench_bad_cell_exit_two_naming_cell(tmp_path, capsys, cell):
     assert not out.exists()
 
 
+def output_command(command, run_dir, tmp_path):
+    """Arguments that run `command` on tiny inputs, and the files it writes."""
+    if command == "extract":
+        out = tmp_path / "features.csv"
+        args = ["--extractor", "handcrafted", "--input", str(obs_file(tmp_path))]
+        return args + ["--output", str(out)], [out]
+    if command == "bench":
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"cells": [[20, 3]], "runs": 10, "kinds": ["handcrafted"]}))
+        out = tmp_path / "timings.csv"
+        return ["--grid", str(grid), "--output", str(out)], [out, tmp_path / "timings_detail.csv"]
+    task = tmp_path / "task.json"
+    task.write_text(json.dumps(full_task()))
+    checkpoint = str(run_dir / "analyzer_best.json")
+    if command == "evaluate":
+        out = tmp_path / "report.json"
+        args = ["--checkpoint", checkpoint, "--task", str(task), "--mode", "zero_shot"]
+        return args + ["--q", "2", "--output", str(out)], [out]
+    inputs = tmp_path / "inputs.json"
+    inputs.write_text(json.dumps(
+        {"checkpoint": checkpoint, "task": str(task), "function_id": 3, "runs": 1}
+    ))
+    outdir = tmp_path / "rq3"
+    outdir.mkdir()
+    args = ["--kind", "rq3", "--inputs", str(inputs), "--output-dir", str(outdir)]
+    return args, [outdir / "neural_points.csv", outdir / "ela_points.csv"]
+
+
+@pytest.mark.parametrize("command", ["extract", "bench", "evaluate", "analyze"])
+def test_failed_output_write_keeps_previous_file(command, run_dir, tmp_path, monkeypatch):
+    args, outputs = output_command(command, run_dir, tmp_path)
+    for path in outputs:
+        path.write_text("previous\n")
+    write_text = Path.write_text
+
+    def torn(self, data, *a, **k):
+        write_text(self, data[: len(data) // 2], *a, **k)
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(Path, "write_text", torn)
+    assert main([command, *args]) == EXIT_RUNTIME
+    monkeypatch.undo()
+    assert [path.read_text() for path in outputs] == ["previous\n"] * len(outputs)
+
+
 def test_analyze_rq3_exports_point_clouds(run_dir, tmp_path):
     task = tmp_path / "task3.json"
     task.write_text(json.dumps({

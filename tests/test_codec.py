@@ -7,6 +7,7 @@ code before the analyzer, trainer and ES writers moved onto
 
 import json
 import shutil
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -87,7 +88,7 @@ def test_es_state_rewrites_to_identical_bytes(variant):
 
 def test_run_config_dict_matches_stored_config():
     stored = (DATA / "run" / "config.json").read_text()
-    assert json.dumps(golden_run().to_dict(), indent=1, sort_keys=True) == stored
+    assert json.dumps(asdict(golden_run()), indent=1, sort_keys=True) == stored
 
 
 def test_trainer_checkpoint_rewrites_to_identical_bytes(tmp_path):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -386,7 +387,7 @@ def test_task_budget_below_population_rejected():
 
 def test_task_round_trips_through_dict():
     task = small_task()
-    assert TaskSpec.from_dict(task.to_dict()) == task
+    assert TaskSpec(**asdict(task)) == task
 
 
 # --- meta-training -------------------------------------------------------------------
