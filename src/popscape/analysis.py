@@ -31,7 +31,7 @@ from .metabbo import (
     meta_train,
     run_episode,
 )
-from .utils import derive_seed
+from .utils import csv_text, derive_seed
 
 EXPLORATION_THRESHOLD = 0.5  # mutation strength above this labels exploration
 STRONG_CORRELATION = 0.6
@@ -152,11 +152,11 @@ def pearson_matrix(a: FeatureSeries, b: FeatureSeries) -> CorrelationMatrix:
 
 
 def correlation_to_csv(matrix: CorrelationMatrix) -> str:
-    lines = ["feature," + ",".join(matrix.col_names)]
-    for name, row in zip(matrix.row_names, matrix.entries):
-        cells = ",".join("NA" if math.isnan(v) else repr(float(v)) for v in row)
-        lines.append(f"{name},{cells}")
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        ["feature", *matrix.col_names],
+        ([name, *(None if math.isnan(v) else v for v in row)]
+         for name, row in zip(matrix.row_names, matrix.entries)),
+    )
 
 
 # --- wall-time benchmark ----------------------------------------------------------
@@ -268,12 +268,10 @@ def bench_grid(
 
 
 def timings_to_csv(rows: Sequence[TimingResult]) -> str:
-    lines = ["extractor,m,d,runs,mean_s,p50_s,p95_s"]
-    for r in rows:
-        lines.append(
-            f"{r.kind},{r.m},{r.d},{r.runs},{r.mean_s!r},{r.p50_s!r},{r.p95_s!r}"
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        ["extractor", "m", "d", "runs", "mean_s", "p50_s", "p95_s"],
+        ([r.kind, r.m, r.d, r.runs, r.mean_s, r.p50_s, r.p95_s] for r in rows),
+    )
 
 
 def timings_to_table_csv(rows: Sequence[TimingResult]) -> str:
@@ -281,13 +279,10 @@ def timings_to_table_csv(rows: Sequence[TimingResult]) -> str:
     cells = sorted({(r.m, r.d) for r in rows})
     kinds = sorted({r.kind for r in rows})
     lookup = {(r.kind, r.m, r.d): r.mean_s for r in rows}
-    lines = ["extractor," + ",".join(f"m{m}_d{d}" for m, d in cells)]
-    for kind in kinds:
-        values = (lookup.get((kind, m, d)) for m, d in cells)
-        lines.append(
-            kind + "," + ",".join("NA" if v is None else repr(v) for v in values)
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        ["extractor", *(f"m{m}_d{d}" for m, d in cells)],
+        ([kind, *(lookup.get((kind, m, d)) for m, d in cells)] for kind in kinds),
+    )
 
 
 def strong_pairs(matrix: CorrelationMatrix, threshold: float = STRONG_CORRELATION):
@@ -376,7 +371,4 @@ def _drop_constant(rows: np.ndarray) -> np.ndarray:
 
 
 def point_cloud_csv(projection: np.ndarray, labels: Sequence[str]) -> str:
-    lines = ["label,pc1,pc2"]
-    for label, (p1, p2) in zip(labels, projection):
-        lines.append(f"{label},{p1!r},{p2!r}")
-    return "\n".join(lines) + "\n"
+    return csv_text(["label", "pc1", "pc2"], ([label, *p] for label, p in zip(labels, projection)))

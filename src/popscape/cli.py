@@ -38,7 +38,7 @@ from .errors import ConfigError, IntegrityError
 from .metabbo import EXTRACTOR_KINDS, TaskSpec, make_slot_extractor
 from .problems import check_functions
 from .trainer import TrainingRunConfig, fine_tune, train, zero_shot
-from .utils import write_atomic
+from .utils import csv_text, write_atomic
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -375,10 +375,11 @@ def cmd_analyze(args) -> int:
     else:
         matrix = pearson_matrix(study.ela, study.neural)
         write_atomic(outdir / "correlation.csv", correlation_to_csv(matrix))
-        counts_lines = ["feature," + ",".join(matrix.col_names)]
-        for name, row in zip(matrix.row_names, matrix.counts):
-            counts_lines.append(name + "," + ",".join(str(int(c)) for c in row))
-        write_atomic(outdir / "correlation_counts.csv", "\n".join(counts_lines) + "\n")
+        counts = csv_text(
+            ["feature", *matrix.col_names],
+            ([name, *row] for name, row in zip(matrix.row_names, matrix.counts)),
+        )
+        write_atomic(outdir / "correlation_counts.csv", counts)
         strong = strong_pairs(matrix)
         print(
             f"wrote correlation matrix to {outdir} "

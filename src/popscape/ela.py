@@ -45,7 +45,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .analyzer import Observation
-from .utils import cpu_workers, run_split
+from .utils import cpu_workers, csv_text, run_split
 
 Feature = Optional[float]
 
@@ -645,11 +645,4 @@ def handcrafted_state(ctx: RunContext) -> np.ndarray:
 
 def features_to_csv(rows: Sequence[dict[str, Feature]], names: Sequence[str]) -> str:
     """CSV text with a header naming each feature; missing values as NA."""
-    lines = [",".join(names)]
-    for row in rows:
-        lines.append(
-            ",".join(
-                "NA" if row[n] is None else repr(float(row[n])) for n in names
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(names, ([row[n] for n in names] for row in rows))

@@ -34,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError
-from .utils import f8_from_b64, f8_to_b64
+from .utils import csv_text, f8_from_b64, f8_to_b64
 
 logger = logging.getLogger(__name__)
 
@@ -428,7 +428,4 @@ def minimize(
 
 
 def trace_to_csv(trace: list) -> str:
-    lines = ["generation,sigma,best_f"]
-    for gen, sigma, best in trace:
-        lines.append(f"{gen},{sigma!r},{best!r}")
-    return "\n".join(lines) + "\n"
+    return csv_text(["generation", "sigma", "best_f"], trace)

@@ -48,6 +48,7 @@ from .metabbo import (
 from .metabbo import meta_train, run_episode  # noqa: F401
 from .utils import (
     array_digest,
+    csv_text,
     derive_seed,
     f8_to_b64,
     json_sha256,
@@ -194,13 +195,6 @@ class GenerationRecord:
     fe_test: int
     wall_time: float = 0.0
 
-    def csv_row(self) -> str:
-        fits = ",".join(repr(v) for v in self.fitness)
-        return (
-            f"{self.generation},{fits},{self.gen_best!r},{self.best_so_far!r},"
-            f"{self.best_digest},{self.fe_meta_train},{self.fe_test}"
-        )
-
 
 @dataclass
 class TrainResult:
@@ -211,18 +205,14 @@ class TrainResult:
     outdir: Path
 
 
-def _history_header(n: int) -> str:
-    fits = ",".join(f"fit_{i}" for i in range(n))
-    return f"generation,{fits},gen_best,best_so_far,best_digest,fe_meta_train,fe_test"
-
-
 def _write_history(outdir: Path, records: list, n: int) -> None:
-    lines = [_history_header(n)] + [r.csv_row() for r in records]
-    write_atomic(outdir / "history.csv", "\n".join(lines) + "\n")
-    timing = ["generation,seconds"] + [
-        f"{r.generation},{r.wall_time:.3f}" for r in records
-    ]
-    write_atomic(outdir / "timings.csv", "\n".join(timing) + "\n")
+    header = ["generation", *(f"fit_{i}" for i in range(n))]
+    header += ["gen_best", "best_so_far", "best_digest", "fe_meta_train", "fe_test"]
+    rows = ([r.generation, *r.fitness, r.gen_best, r.best_so_far, r.best_digest,
+             r.fe_meta_train, r.fe_test] for r in records)
+    write_atomic(outdir / "history.csv", csv_text(header, rows))
+    timing = ([r.generation, f"{r.wall_time:.3f}"] for r in records)
+    write_atomic(outdir / "timings.csv", csv_text(["generation", "seconds"], timing))
 
 
 def _checkpoint_path(outdir: Path, generation: int) -> Path:
@@ -266,11 +256,8 @@ def load_trainer_checkpoint(path) -> dict:
 
 
 def latest_checkpoint(outdir: Path) -> Optional[Path]:
-    ckpt_dir = Path(outdir) / "checkpoints"
-    if not ckpt_dir.exists():
-        return None
-    files = sorted(ckpt_dir.glob("gen_*.json"))
-    return files[-1] if files else None
+    files = [p for p in (Path(outdir) / "checkpoints").glob("gen_*.json") if p.stem[4:].isdigit()]
+    return max(files, key=lambda p: int(p.stem[4:]), default=None)
 
 
 def train(

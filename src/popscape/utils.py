@@ -3,9 +3,11 @@ the one layout codec for flat weight vectors.
 
 Files are written atomically: the text goes to a sibling ``*.tmp`` file that
 then replaces the target, so a reader sees the old file or the new one,
-never a torn mix.  Sealed files are canonical JSON plus a ``sha256`` of the
-rest, verified on read.  Float arrays travel as base64 of their
-little-endian float64 bytes, which round-trips every bit.
+never a torn mix.  Every CSV is built by `csv_text`: ``NA`` marks a missing
+value and a float is written as its shortest round-trip ``repr``, so
+``float(cell)`` gives the same bits back.  Sealed files are canonical JSON
+plus a ``sha256`` of the rest, verified on read.  Float arrays travel as
+base64 of their little-endian float64 bytes, which round-trips every bit.
 
 A layout is a tuple of (name, shape) pairs: a flat weight vector holds each
 named array's values in C order, one after another in layout order.
@@ -122,12 +124,32 @@ def unpack(vector: np.ndarray, layout) -> dict[str, np.ndarray]:
     return arrays
 
 
+def _csv_cell(v) -> str:
+    if v is None:
+        return "NA"
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
+
+
+def csv_text(header: Sequence, rows) -> str:
+    """The header line, then one line per row, each ending in a newline:
+    ``None`` is written as ``NA``, a float (numpy floats included) as
+    ``repr(float(v))``, anything else as ``str(v)``."""
+    return "".join(",".join(map(_csv_cell, row)) + "\n" for row in (header, *rows))
+
+
 def write_atomic(path, text: str) -> None:
-    """Write `text` to a sibling ``*.tmp`` file, then rename it over `path`."""
+    """Write `text` to a sibling ``*.tmp`` file, then rename it over `path`;
+    if either step fails, the ``*.tmp`` file is removed."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_sealed(path, payload: dict, indent: Optional[int] = None) -> None:

@@ -418,6 +418,7 @@ def test_failed_output_write_keeps_previous_file(command, run_dir, tmp_path, mon
     assert main([command, *args]) == EXIT_RUNTIME
     monkeypatch.undo()
     assert [path.read_text() for path in outputs] == ["previous\n"] * len(outputs)
+    assert [tmp for path in outputs for tmp in path.parent.glob("*.tmp")] == []
 
 
 def test_analyze_rq3_exports_point_clouds(run_dir, tmp_path):
@@ -439,6 +440,9 @@ def test_analyze_rq3_exports_point_clouds(run_dir, tmp_path):
     ela = (outdir / "ela_points.csv").read_text().splitlines()
     assert neural[0] == "label,pc1,pc2"
     assert len(neural) == len(ela) == 1 + 2 * 10  # 2 runs x 10 steps
+    for line in neural[1:] + ela[1:]:
+        _, pc1, pc2 = line.split(",")
+        float(pc1), float(pc2)
 
 
 def test_analyze_correlation_exports_named_matrix(run_dir, tmp_path):

@@ -22,7 +22,7 @@ from popscape.trainer import (
     load_trainer_checkpoint,
     train,
 )
-from popscape.utils import f8_from_b64, f8_to_b64, read_sealed, write_sealed
+from popscape.utils import csv_text, f8_from_b64, f8_to_b64, read_sealed, write_sealed
 
 from .golden import (
     ANALYZER,
@@ -54,6 +54,13 @@ def test_f8_round_trip_keeps_every_bit(values):
     assert back.dtype == np.float64 and back.shape == values.shape
     assert back.flags.writeable
     assert back.view("<u8").tolist() == values.astype("<f8").view("<u8").tolist()
+
+
+def test_csv_cells_round_trip_floats_and_mark_missing():
+    x = np.float64(0.1) * 3
+    text = csv_text(["a", "b", "c", "d"], [[None, 1.5, x, 7]])
+    assert text == f"a,b,c,d\nNA,1.5,{float(x)!r},7\n"
+    assert float(text.splitlines()[1].split(",")[2]) == x
 
 
 def test_sealed_file_rejects_tampering_and_other_formats(tmp_path):

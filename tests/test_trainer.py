@@ -96,6 +96,14 @@ def test_loop_accounting_one_generation(tmp_path):
     assert header.startswith("generation,fit_0,fit_1,fit_2,fit_3")
 
 
+def test_latest_checkpoint_is_the_highest_generation(tmp_path):
+    assert latest_checkpoint(tmp_path) is None
+    (tmp_path / "checkpoints").mkdir()
+    for name in ("gen_9999.json", "gen_10000.json", "gen_backup.json"):
+        (tmp_path / "checkpoints" / name).write_text("{}")
+    assert latest_checkpoint(tmp_path).name == "gen_10000.json"
+
+
 def test_best_so_far_non_decreasing(tmp_path):
     run = tiny_run(max_generations=3)
     result = train(run, tmp_path / "run")
