@@ -11,19 +11,19 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .analyzer import AnalyzerConfig, Observation, decode_params, param_count
+from .analyzer import AnalyzerConfig, Observation, param_count
+from .ela import FULL_SUITE_FEATURE_NAMES, full_suite_features, impute_missing
 # Not called here; perfbench/tracing.py patches this name in this namespace.
 from .ela import handcrafted_state  # noqa: F401
 from .errors import ConfigError
 from .metabbo import (
     EXTRACTOR_KINDS,
     ElaExtractor,
-    FullSuiteExtractor,
     NeuralExtractor,
     TaskSpec,
     make_instance,
@@ -81,11 +81,10 @@ def pca_project(rows: np.ndarray, out_dim: int) -> np.ndarray:
 
 @dataclass
 class FeatureSeries:
-    """Time-aligned feature rows with labels and optional trajectory ids."""
+    """Time-aligned feature rows with optional trajectory ids."""
 
     rows: np.ndarray  # (n, k)
     feature_names: tuple[str, ...]
-    labels: list = field(default_factory=list)
     trajectories: Optional[np.ndarray] = None  # (n,) int ids
 
     def __post_init__(self):
@@ -169,17 +168,18 @@ def make_bench_extractor(
 ) -> Callable[[Observation], np.ndarray]:
     """Build the pooled-feature callable once; construction stays outside the
     timed region.  The ``ela`` kind runs the full offline suite
-    (`FullSuiteExtractor`), and the ``neural`` kind without weights draws
+    (`full_suite_features`), and the ``neural`` kind without weights draws
     them from N(0, 0.2)."""
+    if kind == "ela":
+        return lambda obs: impute_missing(
+            full_suite_features(obs.X, obs.y, obs.lb, obs.ub), FULL_SUITE_FEATURE_NAMES
+        )
     if kind == "neural":
         analyzer_cfg = analyzer_cfg or AnalyzerConfig()
         if theta is None:
             rng = np.random.Generator(np.random.PCG64(0))
             theta = rng.normal(0.0, 0.2, param_count(analyzer_cfg))
-    if kind == "ela":
-        extractor = FullSuiteExtractor()
-    else:  # make_slot_extractor rejects an unknown kind
-        extractor = make_slot_extractor(kind, theta, analyzer_cfg)
+    extractor = make_slot_extractor(kind, theta, analyzer_cfg)  # rejects an unknown kind
     return lambda obs: extractor.extract(obs)[1]
 
 
@@ -322,7 +322,7 @@ def exploration_study(
     """
     if task.optimizer != "de":
         raise ConfigError("the exploration study needs a DE task")
-    extractor = NeuralExtractor(decode_params(theta, analyzer_cfg))
+    extractor = NeuralExtractor(theta, analyzer_cfg)
     classical = ElaExtractor()
     trained = meta_train(
         task, extractor, seed=derive_seed(seed, "evaluate", task.id, "metatrain")
@@ -343,18 +343,8 @@ def exploration_study(
         run_episode(task, extractor, trained.policy, problem, ep_seed, on_step=record)
 
     traj = np.asarray(traj)
-    neural_series = FeatureSeries(
-        rows=np.asarray(neural_rows),
-        feature_names=extractor.names,
-        labels=list(labels),
-        trajectories=traj,
-    )
-    ela_series = FeatureSeries(
-        rows=np.asarray(ela_rows),
-        feature_names=classical.names,
-        labels=list(labels),
-        trajectories=traj,
-    )
+    neural_series = FeatureSeries(np.asarray(neural_rows), extractor.names, trajectories=traj)
+    ela_series = FeatureSeries(np.asarray(ela_rows), classical.names, trajectories=traj)
     return ExplorationStudy(
         neural=neural_series,
         ela=ela_series,

@@ -117,8 +117,10 @@ def _check_keys(data: dict, schema: dict, path: str) -> None:
 
 
 def _read_json(path, what: str):
+    def reject(literal):  # json.loads would otherwise parse NaN and +-Infinity
+        raise ConfigError(f"{path}: {literal} is not a JSON number")
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(), parse_constant=reject)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

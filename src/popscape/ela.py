@@ -350,25 +350,21 @@ def distribution_features(y) -> dict[str, Feature]:
     }
 
 
-def ela_features(
-    X, y, lb=None, ub=None, quantiles: Sequence[float] = DEFAULT_QUANTILES
-) -> dict[str, Feature]:
+def ela_features(X, y, lb=None, ub=None) -> dict[str, Feature]:
     """The in-run baseline: concatenation of the five cheap groups, which
     share one distance matrix."""
     X = np.asarray(X, dtype=float)
     out: dict[str, Feature] = {}
-    for group in _cheap_groups(X, y, lb, ub, _pairwise_distances(X), quantiles).values():
+    for group in _cheap_groups(X, y, lb, ub, _pairwise_distances(X)).values():
         out.update(group())
     return out
 
 
-def _cheap_groups(
-    X, y, lb, ub, D, quantiles=DEFAULT_QUANTILES
-) -> dict[str, Callable[[], dict]]:
+def _cheap_groups(X, y, lb, ub, D) -> dict[str, Callable[[], dict]]:
     """The in-run groups, name: call, in feature-vector order; all read D."""
     return {
         "fdc": lambda: fdc_features(X, y, lb, ub, D=D),
-        "dispersion": lambda: dispersion_features(X, y, quantiles, D=D),
+        "dispersion": lambda: dispersion_features(X, y, D=D),
         "information_content": lambda: information_content(X, y, D=D),
         "nbc": lambda: nbc_features(X, y, D=D),
         "distribution": lambda: distribution_features(y),

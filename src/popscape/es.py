@@ -68,11 +68,14 @@ class EsConfig:
     stall_generations: int = 50
 
     def __post_init__(self):
+        variants = [v.value for v in EsVariant]
+        if self.variant not in variants:
+            raise ConfigError(f"unknown ES variant {self.variant!r}; one of {variants}")
         object.__setattr__(self, "variant", EsVariant(self.variant))
         if self.population < 4:
             raise ConfigError("ES population must be at least 4")
-        if self.initial_sigma <= 0:
-            raise ConfigError("initial sigma must be positive")
+        if not (math.isfinite(self.initial_sigma) and self.initial_sigma > 0):
+            raise ConfigError(f"initial sigma must be finite and > 0, got {self.initial_sigma}")
         if self.initial_mean_mode not in ("zero", "uniform_random"):
             raise ConfigError(f"unknown initial mean mode {self.initial_mean_mode!r}")
         if self.path_lr is None:
@@ -195,9 +198,9 @@ def _rank_order(fitness: np.ndarray) -> np.ndarray:
 
 
 def sanitize_fitness(fitness: np.ndarray) -> np.ndarray:
-    """Fitness as ranked: every non-finite value becomes -inf, the worst rank."""
+    """Fitness as ranked: NaN and +inf become -inf, the worst rank, which -inf already holds."""
     fitness = np.asarray(fitness, dtype=float).reshape(-1)
-    bad = ~np.isfinite(fitness)
+    bad = np.isnan(fitness) | (fitness == np.inf)
     if np.any(bad):
         logger.warning(
             "%d non-finite fitness values assigned worst rank", int(bad.sum())

@@ -18,20 +18,18 @@ from typing import Optional
 
 import numpy as np
 
-from .analyzer import Observation, PopulationEncoder, decode_params
+from .analyzer import AnalyzerConfig, Observation, decode_params
 from .ela import (
     ELA_FEATURE_NAMES,
-    FULL_SUITE_FEATURE_NAMES,
     HANDCRAFTED_NAMES,
     RunContext,
     ela_features,
-    full_suite_features,
     handcrafted_state,
     impute_missing,
 )
 from .errors import ConfigError
 from .es import EsConfig, es_init, es_sample, es_update
-from .optimizers import DeConfig, OptimizerState, PsoConfig, de_step, init_state, pso_step
+from .optimizers import MIN_POPULATION, DeConfig, PsoConfig, de_step, init_state, pso_step
 from .problems import NoiseModel, Problem, ProblemSpec, check_functions, make_problem, sample_offset
 from .utils import array_digest, derive_seed, layout_size, unpack
 
@@ -44,13 +42,13 @@ SIGMA_FLOOR = 1e-12
 
 
 class NeuralExtractor:
-    """Wraps a decoded population encoder; per-candidate and pooled features."""
+    """Population encoder decoded from flat weights; per-candidate and pooled features."""
 
     name = "neural"
 
-    def __init__(self, net: PopulationEncoder):
-        self.net = net
-        self.width = net.config.hidden_dim
+    def __init__(self, theta, analyzer_cfg: AnalyzerConfig):
+        self.net = decode_params(theta, analyzer_cfg)
+        self.width = analyzer_cfg.hidden_dim
         self.names = tuple(f"nf_{i}" for i in range(self.width))
 
     def extract(self, obs: Observation, ctx: Optional[RunContext] = None):
@@ -64,19 +62,9 @@ class ElaExtractor:
     name = "ela"
     names = ELA_FEATURE_NAMES
     width = len(names)
-    suite = staticmethod(ela_features)
 
     def extract(self, obs: Observation, ctx: Optional[RunContext] = None):
-        return None, impute_missing(self.suite(obs.X, obs.y, obs.lb, obs.ub), self.names)
-
-
-class FullSuiteExtractor(ElaExtractor):
-    """The offline classical suite: the in-run groups plus the meta-model,
-    level-set and PCA groups."""
-
-    names = FULL_SUITE_FEATURE_NAMES
-    width = len(names)
-    suite = staticmethod(full_suite_features)
+        return None, impute_missing(ela_features(obs.X, obs.y, obs.lb, obs.ub), self.names)
 
 
 class HandcraftedExtractor:
@@ -99,7 +87,7 @@ def make_slot_extractor(slot: str, theta=None, analyzer_cfg=None):
     if slot == "neural":
         if theta is None or analyzer_cfg is None:
             raise ConfigError("the neural kind needs weights and an analyzer config")
-        return NeuralExtractor(decode_params(theta, analyzer_cfg))
+        return NeuralExtractor(theta, analyzer_cfg)
     if slot == "ela":
         return ElaExtractor()
     if slot == "handcrafted":
@@ -215,6 +203,15 @@ class TaskSpec:
                 raise ConfigError(
                     f"task {self.id}: {name} must be positive, got {getattr(self, name)}"
                 )
+        least = MIN_POPULATION[self.optimizer]
+        if self.population_size < least:
+            raise ConfigError(f"task {self.id}: {self.optimizer} needs population_size >= {least}")
+        if self.inner_epochs < 0:
+            raise ConfigError(f"task {self.id}: inner_epochs must be >= 0, got {self.inner_epochs}")
+        try:
+            self.inner_es_config(dim=1, seed=0)
+        except ConfigError as exc:
+            raise ConfigError(f"task {self.id}: inner ES: {exc}") from None
         if not self.train_functions:
             raise ConfigError(f"task {self.id}: empty train set")
         for name in ("train_functions", "test_functions"):
@@ -233,6 +230,17 @@ class TaskSpec:
 
     def template(self) -> PolicyTemplate:
         return policy_template_for(self.optimizer, self.policy_hidden)
+
+    def inner_es_config(self, dim: int, seed: int) -> EsConfig:
+        """The inner ES over policy vectors of length ``dim``, started at zero."""
+        return EsConfig(
+            variant=self.inner_variant,
+            dim=dim,
+            population=self.inner_population,
+            initial_sigma=0.3,
+            initial_mean_mode="zero",
+            seed=seed,
+        )
 
 
 def make_instance(task: TaskSpec, function_id: int, instance_seed: int) -> Problem:
@@ -320,7 +328,7 @@ def run_episode(
         )
     rng = np.random.Generator(np.random.PCG64(seed))
     m = task.population_size
-    state: OptimizerState = init_state(problem, m, rng)
+    state = init_state(problem, m, rng)
     fe0 = problem.fe_count
     denom = max(abs(state.best_y), 1e-12)
     worst_so_far = float(np.max(state.y))
@@ -420,14 +428,7 @@ def meta_train(
     template = task.template()
     n_params = policy_param_count(template, extractor.width)
     epochs = task.inner_epochs if epochs is None else epochs
-    inner_cfg = EsConfig(
-        variant=task.inner_variant,
-        dim=n_params,
-        population=task.inner_population,
-        initial_sigma=0.3,
-        initial_mean_mode="zero",
-        seed=derive_seed(seed, "inner-es"),
-    )
+    inner_cfg = task.inner_es_config(n_params, derive_seed(seed, "inner-es"))
     state = es_init(inner_cfg)
     fe_used = 0
     history = []
@@ -526,13 +527,9 @@ def train_and_test(
     return trained, fstars, fe_test
 
 
-def baseline_extractor() -> HandcraftedExtractor:
-    return HandcraftedExtractor()
-
-
 def compute_baseline(task: TaskSpec, q_runs: int, seed_base: int) -> BaselineStats:
     """Meta-train the baseline pipeline once and freeze its test statistics."""
-    _, fstars, _ = train_and_test(task, baseline_extractor(), q_runs, seed_base)
+    _, fstars, _ = train_and_test(task, HandcraftedExtractor(), q_runs, seed_base)
     stats = {
         fid: (float(np.mean(v)), float(np.std(v))) for fid, v in fstars.items()
     }

@@ -22,6 +22,7 @@ logger = logging.getLogger(__name__)
 
 # PSO velocities are clamped to this fraction of the box width per dimension.
 VELOCITY_CLAMP_FRACTION = 0.2
+MIN_POPULATION = {"de": 4, "pso": 2}  # DE draws three donors besides the target
 
 
 def _control_range(name: str, values: np.ndarray) -> tuple[float, float]:
@@ -122,7 +123,7 @@ def de_step(
     guaranteed-cross dimension index.  Boundary repair clamps to the box.
     """
     m, d = state.X.shape
-    if m < 4:
+    if m < MIN_POPULATION["de"]:
         raise ConfigError("differential evolution needs a population of at least 4")
     if cfg.F.shape[0] != m or cfg.Cr.shape[0] != m:
         raise ConfigError("DE config length does not match population size")
@@ -161,7 +162,7 @@ def pso_step(
     the social term.
     """
     m, d = state.X.shape
-    if m < 2:
+    if m < MIN_POPULATION["pso"]:
         raise ConfigError("particle swarm needs a population of at least 2")
     u1 = rng.random((m, d))
     u2 = rng.random((m, d))

@@ -48,8 +48,8 @@ class NoiseModel:
         except ValueError:
             kinds = [k.value for k in NoiseKind]
             raise ConfigError(f"unknown noise kind {self.kind!r}; one of {kinds}") from None
-        if self.level < 0:
-            raise ConfigError(f"noise level must be >= 0, got {self.level}")
+        if not (np.isfinite(self.level) and self.level >= 0):
+            raise ConfigError(f"noise level must be finite and >= 0, got {self.level}")
 
     def apply(self, values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         if self.kind == NoiseKind.GAUSSIAN_MULTIPLICATIVE:

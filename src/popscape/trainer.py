@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analyzer import AnalyzerConfig, decode_params, param_count, save_checkpoint
+from .analyzer import AnalyzerConfig, param_count, save_checkpoint
 from .errors import ConfigError, IntegrityError
 from .es import (
     EsConfig, es_init, es_sample, es_update, sanitize_fitness, state_from_dict, state_to_dict
@@ -84,6 +84,7 @@ class TrainingRunConfig:
             raise ConfigError(f"duplicate task ids: {ids}")
         if self.q_runs < 1:
             raise ConfigError(f"q_runs must be at least 1, got {self.q_runs}")
+        self.es_config()  # raises ConfigError on bad outer ES settings
 
     def es_config(self) -> EsConfig:
         return EsConfig(
@@ -172,7 +173,7 @@ def pipeline_score(
     seed_base: int,
 ) -> UpsilonResult:
     """Relative performance of one candidate on one task; pure and picklable."""
-    extractor = NeuralExtractor(decode_params(theta, analyzer_cfg))
+    extractor = NeuralExtractor(theta, analyzer_cfg)
     return relative_performance(extractor, task, baseline, q_runs, seed_base)
 
 
@@ -402,7 +403,7 @@ def fine_tune(
     if baseline is None:
         baseline = compute_baseline(task, q_runs, derive_seed(seed, "baseline"))
     check_baseline(task, baseline)
-    extractor0 = NeuralExtractor(decode_params(theta, analyzer_cfg))
+    extractor0 = NeuralExtractor(theta, analyzer_cfg)
     trained, fstars0, _ = train_and_test(task, extractor0, q_runs, seed_base)
     ups0, per_problem, z_table = upsilon_from_fstars(task, baseline, fstars0)
 
@@ -411,7 +412,7 @@ def fine_tune(
     n_theta = theta.shape[0]
 
     def decode(joint):
-        ext = NeuralExtractor(decode_params(joint[:n_theta], analyzer_cfg))
+        ext = NeuralExtractor(joint[:n_theta], analyzer_cfg)
         return ext, policy_decode(joint[n_theta:], task.template(), ext.width)
 
     es_cfg = EsConfig(

@@ -37,8 +37,8 @@ from popscape.ela import (
 )
 from popscape.es import EsConfig, EsVariant, es_init, es_sample, es_update, minimize
 from popscape.metabbo import (
+    HandcraftedExtractor,
     TaskSpec,
-    baseline_extractor,
     compute_baseline,
     relative_performance,
     z_score,
@@ -76,7 +76,7 @@ def test_criterion_1_metric_exactness():
     )
     baseline = compute_baseline(task, q_runs=3, seed_base=2024)
     ups = relative_performance(
-        baseline_extractor(), task, baseline, q_runs=3, seed_base=2024
+        HandcraftedExtractor(), task, baseline, q_runs=3, seed_base=2024
     )
     assert ups.value == 0.0
     ok("1 metric exactness (z-score substitutions, baseline self-comparison = 0)")

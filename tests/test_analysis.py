@@ -20,11 +20,11 @@ from popscape.analysis import (
     random_observations,
     timings_to_csv,
 )
-from popscape.analyzer import AnalyzerConfig, PopulationEncoder, decode_params, param_count
+from popscape.analyzer import AnalyzerConfig, PopulationEncoder, param_count
+from popscape.ela import FULL_SUITE_FEATURE_NAMES, full_suite_features, impute_missing
 from popscape.errors import ConfigError
 from popscape.metabbo import (
     EXTRACTOR_KINDS,
-    FullSuiteExtractor,
     HandcraftedExtractor,
     NeuralExtractor,
     TaskSpec,
@@ -220,16 +220,24 @@ def test_unknown_extractor_kind_rejected():
 def test_bench_extractor_is_the_extractor_class_of_its_kind(rng, kind):
     cfg = AnalyzerConfig()
     theta = rng.normal(0.0, 0.2, param_count(cfg))
-    extractor = {
-        "neural": NeuralExtractor(decode_params(theta, cfg)),
-        "ela": FullSuiteExtractor(),
-        "handcrafted": HandcraftedExtractor(),
-    }[kind]
+    if kind == "ela":
+        width = len(FULL_SUITE_FEATURE_NAMES)
+
+        def expected(obs):
+            features = full_suite_features(obs.X, obs.y, obs.lb, obs.ub)
+            return impute_missing(features, FULL_SUITE_FEATURE_NAMES)
+    else:
+        extractor = NeuralExtractor(theta, cfg) if kind == "neural" else HandcraftedExtractor()
+        width = extractor.width
+        assert width == len(extractor.names)
+
+        def expected(obs):
+            return extractor.extract(obs)[1]
     fn = make_bench_extractor(kind, cfg, theta)
     for obs in random_observations(30, 4, 2, seed=5):
         out = fn(obs)
-        assert out.shape == (extractor.width,) == (len(extractor.names),)
-        assert np.array_equal(out, extractor.extract(obs)[1])
+        assert out.shape == (width,)
+        assert np.array_equal(out, expected(obs))
 
 
 def test_single_cell_walltime():

@@ -668,6 +668,52 @@ def test_train_nonpositive_q_runs_exit_two_before_training(tmp_path, capsys, mon
     assert trained == [] and not (tmp_path / "run").exists()
 
 
+BAD_SETTINGS = (
+    (("outer", "variant"), "fast_cmaess", "unknown ES variant 'fast_cmaess'; one of"),
+    (("outer", "population"), 3, "ES population must be at least 4"),
+    (("tasks", 0, "inner_variant"), "sep", "task de_full: inner ES: unknown ES variant 'sep'"),
+    (("tasks", 0, "inner_population"), 3, "task de_full: inner ES: ES population must be"),
+    (("tasks", 0, "inner_epochs"), -1, "task de_full: inner_epochs must be >= 0, got -1"),
+    (("tasks", 0, "population_size"), 3, "task de_full: de needs population_size >= 4"),
+)
+
+
+@pytest.mark.parametrize(
+    "field,value,message", BAD_SETTINGS, ids=[dotted("config", f) for f, _, _ in BAD_SETTINGS]
+)
+def test_bad_training_setting_exit_two_before_baselines(tmp_path, capsys, monkeypatch, field, value, message):
+    # these computed and wrote baselines.json first, then exited 2 or (a raw
+    # ValueError for the variants) 3
+    import popscape.cli as cli
+
+    trained = forbid(monkeypatch, cli, "train")
+    data = with_value(full_train_config(), field, value)
+    assert run_with_config(tmp_path, "train", data) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert trained == [] and not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "command,field,value,literal",
+    [("train", ("outer", "initial_sigma"), np.nan, "NaN"),
+     ("evaluate", ("noise", "level"), np.inf, "Infinity"),
+     ("evaluate", ("noise", "level"), -np.inf, "-Infinity")],
+    ids=["train-NaN", "evaluate-Infinity", "evaluate-minus-Infinity"],
+)
+def test_non_finite_json_literal_exit_two_before_any_work(
+    tmp_path, capsys, monkeypatch, command, field, value, literal
+):
+    # json.loads parsed these: a NaN initial sigma trained to all-NaN fitness
+    # with exit 0, and an infinite noise level reached the episodes
+    import popscape.cli as cli
+
+    work = forbid(monkeypatch, cli, {"train": "train", "evaluate": "zero_shot"}[command])
+    data = with_value(base_config(command, tmp_path), field, value)
+    assert run_with_config(tmp_path, command, data) == EXIT_CONFIG
+    assert f"{literal} is not a JSON number" in capsys.readouterr().err
+    assert work == [] and not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("q", [0, -1])
 @pytest.mark.parametrize("mode", ["zero_shot", "fine_tune"])
 def test_evaluate_nonpositive_q_exit_two_before_any_episode(tmp_path, capsys, monkeypatch, mode, q):

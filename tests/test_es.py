@@ -13,6 +13,7 @@ from popscape.es import (
     es_sample,
     es_update,
     minimize,
+    sanitize_fitness,
     recombination_weights,
     state_from_dict,
     state_to_dict,
@@ -67,9 +68,10 @@ def test_init_explicit_mean_override():
 def test_invalid_config_rejected():
     with pytest.raises(ConfigError):
         EsConfig(variant="cmaes", dim=5, population=3)
-    with pytest.raises(ConfigError):
-        EsConfig(variant="cmaes", dim=5, population=8, initial_sigma=0.0)
-    with pytest.raises(ValueError):
+    for sigma in (0.0, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="initial sigma"):
+            EsConfig(variant="cmaes", dim=5, population=8, initial_sigma=sigma)
+    with pytest.raises(ConfigError, match="unknown ES variant 'not_a_variant'; one of"):
         EsConfig(variant="not_a_variant", dim=5, population=8)
 
 
@@ -169,6 +171,17 @@ def test_non_finite_fitness_gets_worst_rank(caplog):
         es_update(state, X, f)
     assert any("non-finite" in r.message for r in caplog.records)
     assert state.best_f == 7.0  # the NaN candidate never wins
+
+
+def test_sanitized_fitness_is_not_counted_again(caplog):
+    # es_update re-sanitized the -inf that sanitize_fitness wrote and warned twice
+    state = es_init(EsConfig(variant="sep_cmaes", dim=3, population=4, seed=2))
+    X = es_sample(state)
+    with caplog.at_level(logging.WARNING):
+        es_update(state, X, sanitize_fitness(np.array([1.0, np.nan, 0.5, -np.inf])))
+    assert ["1 non-finite fitness values assigned worst rank"] == [
+        r.getMessage() for r in caplog.records
+    ]
 
 
 def test_best_so_far_monotone_under_maximization(rng):

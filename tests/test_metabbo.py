@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from popscape.analyzer import AnalyzerConfig, Observation, decode_params, param_count
+from popscape.analyzer import AnalyzerConfig, Observation, param_count
 from popscape.errors import ConfigError
 from popscape.metabbo import (
     BaselineStats,
@@ -15,7 +15,6 @@ from popscape.metabbo import (
     NeuralExtractor,
     PolicyTemplate,
     TaskSpec,
-    baseline_extractor,
     compute_baseline,
     episode_return,
     make_instance,
@@ -57,7 +56,7 @@ def small_task(**overrides):
 def neural_extractor(seed=0):
     cfg = AnalyzerConfig()
     rng = np.random.default_rng(seed)
-    return NeuralExtractor(decode_params(rng.normal(0, 0.3, param_count(cfg)), cfg))
+    return NeuralExtractor(rng.normal(0, 0.3, param_count(cfg)), cfg)
 
 
 # --- z-score ----------------------------------------------------------------------
@@ -159,7 +158,7 @@ def test_raw_outputs_match_three_exp_sigmoid_bit_for_bit():
 def test_budget_equal_population_gives_one_decision():
     task = small_task(budget=10, population_size=10)
     assert task.horizon == 1
-    extractor = baseline_extractor()
+    extractor = HandcraftedExtractor()
     policy = policy_decode(
         np.zeros(policy_param_count(task.template(), extractor.width)),
         task.template(),
@@ -174,7 +173,7 @@ def test_budget_equal_population_gives_one_decision():
 
 def test_rewards_floored_at_zero(rng):
     task = small_task()
-    extractor = baseline_extractor()
+    extractor = HandcraftedExtractor()
     policy = policy_decode(
         rng.normal(0, 1, policy_param_count(task.template(), extractor.width)),
         task.template(),
@@ -188,7 +187,7 @@ def test_frozen_swarm_yields_constant_zero_rewards():
     """A policy that zeroes every PSO coefficient freezes the swarm, so the
     best value never improves and every reward sits at the floor."""
     task = small_task(id="pso_frozen", optimizer="pso", budget=100)
-    extractor = baseline_extractor()
+    extractor = HandcraftedExtractor()
     template = task.template()
     policy = policy_decode(
         np.zeros(policy_param_count(template, extractor.width)), template, extractor.width
@@ -262,7 +261,7 @@ def test_non_finite_features_or_controls_end_the_episode(optimizer, source):
     # best, and an inf feature ran on finite controls, all with a finite f_star.
     task = small_task(id=f"{optimizer}_nonfinite", optimizer=optimizer)
     template = task.template()
-    extractor = InfFeatureAtStep(2) if source == "features" else baseline_extractor()
+    extractor = InfFeatureAtStep(2) if source == "features" else HandcraftedExtractor()
     policy = policy_decode(
         np.random.default_rng(3).normal(0, 1, policy_param_count(template, extractor.width)),
         template,
@@ -295,7 +294,7 @@ def test_episode_ends_at_the_first_non_finite_decision(scale, optimizer, dimensi
     )
     rng = np.random.default_rng(seed)
     cfg = AnalyzerConfig()
-    extractor = NeuralExtractor(decode_params(rng.normal(0, scale, param_count(cfg)), cfg))
+    extractor = NeuralExtractor(rng.normal(0, scale, param_count(cfg)), cfg)
     template = task.template()
     policy = policy_decode(
         rng.normal(0, scale, policy_param_count(template, extractor.width)),
@@ -335,7 +334,7 @@ def test_meta_train_never_returns_a_non_finite_policy(monkeypatch):
 
     monkeypatch.setattr(metabbo, "policy_decode", poisoned)
     task = small_task(inner_epochs=3)
-    result = meta_train(task, baseline_extractor(), seed=7)
+    result = meta_train(task, HandcraftedExtractor(), seed=7)
     assert np.isfinite(result.best_return)
     assert np.all(np.isfinite(policy_encode(result.policy)))
 
@@ -349,7 +348,7 @@ def test_desk_episode_matches_golden(optimizer):
 
 def test_feature_width_mismatch_names_width():
     task = small_task()
-    extractor = baseline_extractor()  # width 8
+    extractor = HandcraftedExtractor()  # width 8
     policy = policy_decode(
         np.zeros(policy_param_count(task.template(), 16)), task.template(), 16
     )
@@ -380,6 +379,13 @@ def test_task_overlapping_splits_rejected():
         small_task(train_functions=(1, 3), test_functions=(3,))
 
 
+@pytest.mark.parametrize("optimizer,size", [("de", 3), ("pso", 1)])
+def test_task_population_below_optimizer_minimum_rejected(optimizer, size):
+    # these failed inside the first episode's de_step / pso_step
+    with pytest.raises(ConfigError, match=f"task de_small: {optimizer} needs population_size >= "):
+        small_task(optimizer=optimizer, population_size=size)
+
+
 def test_task_budget_below_population_rejected():
     with pytest.raises(ConfigError):
         small_task(budget=5, population_size=10)
@@ -395,7 +401,7 @@ def test_task_round_trips_through_dict():
 
 def test_meta_train_zero_epochs_returns_initial_policy():
     task = small_task()
-    extractor = baseline_extractor()
+    extractor = HandcraftedExtractor()
     result = meta_train(task, extractor, seed=5, epochs=0)
     assert np.all(policy_encode(result.policy) == 0.0)
     assert result.fe_used == 0
@@ -404,7 +410,7 @@ def test_meta_train_zero_epochs_returns_initial_policy():
 
 def test_meta_train_returns_best_so_far():
     task = small_task(inner_epochs=3)
-    extractor = baseline_extractor()
+    extractor = HandcraftedExtractor()
     result = meta_train(task, extractor, seed=8)
     bests = [b for _, b in result.history]
     assert all(b2 >= b1 for b1, b2 in zip(bests, bests[1:]))
@@ -413,7 +419,7 @@ def test_meta_train_returns_best_so_far():
 
 def test_meta_train_deterministic():
     task = small_task(inner_epochs=2)
-    extractor = baseline_extractor()
+    extractor = HandcraftedExtractor()
     a = meta_train(task, extractor, seed=21)
     b = meta_train(task, extractor, seed=21)
     assert np.array_equal(policy_encode(a.policy), policy_encode(b.policy))
@@ -422,7 +428,7 @@ def test_meta_train_deterministic():
 
 def test_meta_train_fe_accounting():
     task = small_task(inner_epochs=2, inner_population=4, episodes_per_eval=1)
-    result = meta_train(task, baseline_extractor(), seed=2)
+    result = meta_train(task, HandcraftedExtractor(), seed=2)
     assert result.fe_used == 2 * 4 * 1 * task.budget
 
 
@@ -451,7 +457,7 @@ def test_relative_performance_fe_counts_step_evaluations(monkeypatch):
     monkeypatch.setattr(metabbo, "run_test_episodes", spy_test)
     task = small_task(budget=40, population_size=6, test_functions=(3, 20))
     baseline = BaselineStats(task.id, 2, 0, {3: (0.0, 1.0), 20: (0.0, 1.0)})
-    result = relative_performance(baseline_extractor(), task, baseline, 2, seed_base=9)
+    result = relative_performance(HandcraftedExtractor(), task, baseline, 2, seed_base=9)
     assert spent == {"meta": 4 * 6 * 6, "test": 2 * 2 * 6 * 6}
     assert (result.fe_meta_train, result.fe_test) == (spent["meta"], spent["test"])
 
@@ -472,7 +478,7 @@ def test_trained_de_policy_beats_fixed_config_on_sphere():
         inner_population=8,
         episodes_per_eval=2,
     )
-    extractor = baseline_extractor()
+    extractor = HandcraftedExtractor()
     trained = meta_train(task, extractor, seed=42)
 
     class FixedPolicy:
@@ -501,14 +507,14 @@ def test_trained_de_policy_beats_fixed_config_on_sphere():
 def test_baseline_self_comparison_is_exact_zero():
     task = small_task(inner_epochs=1)
     baseline = compute_baseline(task, q_runs=3, seed_base=77)
-    ups = relative_performance(baseline_extractor(), task, baseline, q_runs=3, seed_base=77)
+    ups = relative_performance(HandcraftedExtractor(), task, baseline, q_runs=3, seed_base=77)
     assert ups.value == 0.0
 
 
 def test_upsilon_unit_substitutions():
     """P=1, Q=1 with f* = mu - sigma gives exactly 1; averaging works."""
     task = small_task(inner_epochs=0)
-    extractor = baseline_extractor()
+    extractor = HandcraftedExtractor()
     trained = meta_train(task, extractor, seed=31, epochs=0)
     fstars, _ = run_test_episodes(task, extractor, trained.policy, 1, seed_base=31)
     f = float(fstars[3][0])
@@ -521,7 +527,7 @@ def test_upsilon_unit_substitutions():
 
 def test_upsilon_averages_over_problems():
     task = small_task(inner_epochs=0, test_functions=(3, 20))
-    extractor = baseline_extractor()
+    extractor = HandcraftedExtractor()
     trained = meta_train(task, extractor, seed=15, epochs=0)
     fstars, _ = run_test_episodes(task, extractor, trained.policy, 1, seed_base=15)
     f3, f20 = float(fstars[3][0]), float(fstars[20][0])
@@ -541,7 +547,7 @@ def test_missing_baseline_entry_names_problem():
     task = small_task(test_functions=(3, 20))
     baseline = BaselineStats(task_id=task.id, q_runs=1, seed_base=0, stats={3: (0.0, 1.0)})
     with pytest.raises(ConfigError, match="20"):
-        relative_performance(baseline_extractor(), task, baseline, 1, 0)
+        relative_performance(HandcraftedExtractor(), task, baseline, 1, 0)
 
 
 def test_baseline_stats_round_trip():

@@ -92,6 +92,13 @@ def test_cauchy_noise_is_clamped():
     assert np.all(np.abs(y) <= 1e6 + 0.5)
 
 
+@pytest.mark.parametrize("level", [-0.1, np.nan, np.inf])
+def test_noise_level_must_be_finite_and_non_negative(level):
+    # a NaN level passed `level < 0` and every noisy evaluation returned NaN
+    with pytest.raises(ConfigError, match="noise level must be finite and >= 0"):
+        NoiseModel(NoiseKind.CAUCHY_ADDITIVE, level)
+
+
 def test_bbob_split_exact():
     # the paper's 12/12 split of ids 1-24, narrowed to the implemented ones
     train, test = bbob_split()
