@@ -27,7 +27,7 @@ def main():
     started = time.time()
     result = train(run, args.outdir, jobs=args.jobs)
     print(f"trained {run.max_generations} generations in {time.time() - started:.0f}s")
-    print(f"best fitness {result.fitness:.4f} (generation {result.history[-1].generation})")
+    print(f"best fitness {result.fitness:.4f} (generation {result.generation})")
     print(f"artifacts in {result.outdir}")
 
     unseen = TaskSpec(

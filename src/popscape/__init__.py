@@ -7,7 +7,7 @@ against classical feature baselines.
 
 __version__ = "0.1.0"
 
-from .analyzer import AnalyzerConfig, FeatureSet, Observation, ParamVector
+from .analyzer import AnalyzerConfig, FeatureSet, Observation
 from .es import EsConfig, EsVariant
 from .metabbo import TaskSpec
 from .problems import ProblemSpec, bbob_split, make_problem
@@ -19,7 +19,6 @@ __all__ = [
     "EsVariant",
     "FeatureSet",
     "Observation",
-    "ParamVector",
     "ProblemSpec",
     "TaskSpec",
     "TrainingRunConfig",

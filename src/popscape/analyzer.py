@@ -155,6 +155,8 @@ class AnalyzerConfig:
             raise ConfigError("hidden_dim must be even for sin/cos positional encoding")
         if self.ff_inner_dim is None:
             object.__setattr__(self, "ff_inner_dim", self.hidden_dim)
+        if self.ff_inner_dim < 1:
+            raise ConfigError(f"ff_inner_dim must be >= 1, got {self.ff_inner_dim}")
 
 
 @dataclass(frozen=True)
@@ -203,20 +205,6 @@ class FeatureSet:
 
     per_candidate: np.ndarray
     population: np.ndarray
-
-
-@dataclass(frozen=True)
-class ParamVector:
-    """Flat weight vector plus the (name, shape) layout it was packed with."""
-
-    values: np.ndarray
-    layout: tuple[tuple[str, tuple[int, ...]], ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "values", np.asarray(self.values, dtype=float).reshape(-1)
-        )
-        check_flat(self.values, self.layout)
 
 
 @dataclass
@@ -811,7 +799,7 @@ def ts_attn_forward(
     return FeatureSet(per_candidate=per_candidate, population=population)
 
 
-# --- flat parameter codec -------------------------------------------------
+# --- flat parameter layout ------------------------------------------------
 
 _STAGES = ("cross_solution", "cross_dimension")
 _BLOCK_TENSORS = (
@@ -848,30 +836,9 @@ def param_count(config: AnalyzerConfig) -> int:
     return layout_size(layout(config))
 
 
-def _tensor(net: PopulationEncoder, name: str) -> np.ndarray:
-    """The network's tensor under a `layout` name."""
-    if name == "w_emb":
-        return net.w_emb
-    layer, stage, tensor = name.split(".")
-    return getattr(getattr(net.layers[int(layer.removeprefix("layer"))], stage), tensor)
-
-
-def encode_params(net: PopulationEncoder) -> ParamVector:
-    lay = layout(net.config)
-    parts = []
-    for name, shape in lay:
-        t = _tensor(net, name)
-        if t.shape != shape:
-            raise ConfigError(f"tensor {name} has shape {t.shape}, layout says {shape}")
-        parts.append(np.asarray(t, dtype=float).ravel())
-    return ParamVector(values=np.concatenate(parts), layout=lay)
-
-
-def decode_params(vector, config: AnalyzerConfig) -> PopulationEncoder:
-    """Rebuild the network from a flat vector; exact inverse of encode_params."""
-    lay = layout(config)
-    values = vector.values if isinstance(vector, ParamVector) else np.asarray(vector, dtype=float).reshape(-1)
-    tensors = unpack(values, lay)
+def decode_params(theta, config: AnalyzerConfig) -> PopulationEncoder:
+    """The network whose tensors are copies of `theta`'s slices in `layout` order."""
+    tensors = unpack(np.asarray(theta, dtype=float).reshape(-1), layout(config))
     net = PopulationEncoder(config=config, w_emb=tensors["w_emb"])
     for i in range(config.num_layers):
         blocks = {
@@ -890,15 +857,17 @@ def decode_params(vector, config: AnalyzerConfig) -> PopulationEncoder:
 def _checkpoint_payload(
     config: AnalyzerConfig, theta: np.ndarray, provenance: dict
 ) -> dict:
-    packed = ParamVector(values=theta, layout=layout(config))  # checks the length
+    lay = layout(config)
+    theta = np.asarray(theta, dtype=float)
+    check_flat(theta, lay)
     return {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "config": asdict(config),
-        "layout": [[name, list(shape)] for name, shape in packed.layout],
-        "param_count": packed.values.shape[0],
+        "layout": [[name, list(shape)] for name, shape in lay],
+        "param_count": theta.shape[0],
         "dtype": "<f8",
-        "theta_b64": f8_to_b64(packed.values),
+        "theta_b64": f8_to_b64(theta),
         "provenance": dict(provenance),
     }
 

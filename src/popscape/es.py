@@ -80,6 +80,8 @@ class EsConfig:
             raise ConfigError(f"unknown initial mean mode {self.initial_mean_mode!r}")
         if self.path_lr is None:
             object.__setattr__(self, "path_lr", 2.0 / (self.dim + 5.0))
+        if not 0.0 <= self.path_lr <= 2.0:  # also rejects NaN
+            raise ConfigError(f"path_lr must be in [0, 2], got {self.path_lr}")
 
 
 def recombination_weights(population: int) -> tuple[np.ndarray, float]:

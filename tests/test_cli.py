@@ -20,6 +20,13 @@ from popscape.cli import (
 )
 
 
+def test_every_public_name_resolves():
+    import popscape
+
+    for name in popscape.__all__:
+        assert getattr(popscape, name) is not None, name
+
+
 def train_config(tmp_path, **overrides):
     cfg = {
         "seed": 5,
@@ -675,11 +682,23 @@ BAD_SETTINGS = (
     (("tasks", 0, "inner_population"), 3, "task de_full: inner ES: ES population must be"),
     (("tasks", 0, "inner_epochs"), -1, "task de_full: inner_epochs must be >= 0, got -1"),
     (("tasks", 0, "population_size"), 3, "task de_full: de needs population_size >= 4"),
+    (("outer", "path_lr"), -1.0, "path_lr must be in [0, 2], got -1.0"),
+    (("outer", "path_lr"), 2.5, "path_lr must be in [0, 2], got 2.5"),
+    (("analyzer", "ff_inner_dim"), -4, "ff_inner_dim must be >= 1, got -4"),
+    (("analyzer", "ff_inner_dim"), 0, "ff_inner_dim must be >= 1, got 0"),
+    (("tasks", 0, "policy_hidden"), -1, "task de_full: policy_hidden must be positive, got -1"),
+    (("tasks", 0, "policy_hidden"), 0, "task de_full: policy_hidden must be positive, got 0"),
 )
 
 
+def bad_setting_id(field, value) -> str:
+    """The field's path, plus its value where several rows set that field."""
+    repeated = [f for f, _, _ in BAD_SETTINGS].count(field) > 1
+    return dotted("config", field) + (f"={value}" if repeated else "")
+
+
 @pytest.mark.parametrize(
-    "field,value,message", BAD_SETTINGS, ids=[dotted("config", f) for f, _, _ in BAD_SETTINGS]
+    "field,value,message", BAD_SETTINGS, ids=[bad_setting_id(f, v) for f, v, _ in BAD_SETTINGS]
 )
 def test_bad_training_setting_exit_two_before_baselines(tmp_path, capsys, monkeypatch, field, value, message):
     # these computed and wrote baselines.json first, then exited 2 or (a raw

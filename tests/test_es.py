@@ -75,6 +75,16 @@ def test_invalid_config_rejected():
         EsConfig(variant="not_a_variant", dim=5, population=8)
 
 
+def test_path_learning_rate_must_lie_in_zero_two():
+    # a NaN filled the mixture path with NaN; -1 or 2.5 made the first
+    # update take the square root of a negative number
+    for lr in (np.nan, np.inf, -1.0, 2.5):
+        with pytest.raises(ConfigError, match=r"path_lr must be in \[0, 2\]"):
+            EsConfig(variant="fast_cmaes", dim=5, population=8, path_lr=lr)
+    for lr in (0.0, 2.0):
+        assert EsConfig(variant="fast_cmaes", dim=5, population=8, path_lr=lr).path_lr == lr
+
+
 def test_default_path_learning_rate():
     cfg = EsConfig(variant="fast_cmaes", dim=15, population=8)
     assert cfg.path_lr == pytest.approx(2.0 / 20.0)

@@ -20,7 +20,6 @@ from popscape.metabbo import (
     make_instance,
     meta_train,
     policy_decode,
-    policy_encode,
     policy_layout,
     policy_param_count,
     policy_template_for,
@@ -88,14 +87,6 @@ def test_z_score_affine_invariance(f, mu, sigma, a, b):
 
 
 # --- policy ------------------------------------------------------------------------
-
-
-def test_policy_codec_round_trip(rng):
-    template = policy_template_for("de")
-    n = policy_param_count(template, 16)
-    vec = rng.normal(size=n)
-    policy = policy_decode(vec, template, 16)
-    assert np.array_equal(policy_encode(policy), vec)
 
 
 def test_policy_layout_packs_w1_b1_w2_b2():
@@ -336,7 +327,8 @@ def test_meta_train_never_returns_a_non_finite_policy(monkeypatch):
     task = small_task(inner_epochs=3)
     result = meta_train(task, HandcraftedExtractor(), seed=7)
     assert np.isfinite(result.best_return)
-    assert np.all(np.isfinite(policy_encode(result.policy)))
+    p = result.policy
+    assert all(np.all(np.isfinite(t)) for t in (p.w1, p.b1, p.w2, p.b2))
 
 
 @pytest.mark.parametrize("optimizer", ["de", "pso"])
@@ -403,7 +395,7 @@ def test_meta_train_zero_epochs_returns_initial_policy():
     task = small_task()
     extractor = HandcraftedExtractor()
     result = meta_train(task, extractor, seed=5, epochs=0)
-    assert np.all(policy_encode(result.policy) == 0.0)
+    assert np.all(result.vector == 0.0)
     assert result.fe_used == 0
     assert result.best_return == -np.inf and result.history == []
 
@@ -422,7 +414,7 @@ def test_meta_train_deterministic():
     extractor = HandcraftedExtractor()
     a = meta_train(task, extractor, seed=21)
     b = meta_train(task, extractor, seed=21)
-    assert np.array_equal(policy_encode(a.policy), policy_encode(b.policy))
+    assert np.array_equal(a.vector, b.vector)
     assert a.best_return == b.best_return
 
 
