@@ -33,6 +33,11 @@ groups from the same D; with one, the calling thread computes all eight.
 The thread is joined before the call returns, and the output is the same
 bit for bit as on one CPU.  `ela_features`, the in-run baseline, always
 runs on the calling thread.  BLAS threads are left to the environment.
+
+Each group's output names are declared next to it (a tuple, or a function
+of the group's quantiles), and the group builds its dict from them;
+`ELA_FEATURE_NAMES` and `FULL_SUITE_FEATURE_NAMES` join them in feature
+order, so importing this module calls no group.
 """
 
 from __future__ import annotations
@@ -123,6 +128,21 @@ def _box(lb, ub, d: int) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+FDC_NAMES = (
+    "fdc_correlation",
+    "fdc_dist_mean",
+    "fdc_dist_std",
+    "fdc_obj_diff_mean",
+    "fdc_obj_diff_std",
+    "fdc_best_to_centroid",
+)
+
+
+def _named(names: Sequence[str], values) -> dict[str, Feature]:
+    """A group's output: its declared names, in order, each with one value."""
+    return dict(zip(names, values, strict=True))
+
+
 def fdc_features(X, y, lb=None, ub=None, *, D=None) -> dict[str, Feature]:
     """Fitness-distance group: correlation of objectives with distance to the
     best sample, pairwise-distance and objective-gap statistics, and the
@@ -140,14 +160,19 @@ def fdc_features(X, y, lb=None, ub=None, *, D=None) -> dict[str, Feature]:
     del pair_dist  # freed before the gaps are built
     obj_diff = _upper_gaps(y, upper)
     centroid = X.mean(axis=0)
-    return {
-        "fdc_correlation": _pearson(y, dist_to_best),
-        "fdc_dist_mean": dist_mean,
-        "fdc_dist_std": dist_std,
-        "fdc_obj_diff_mean": float(obj_diff.mean()),
-        "fdc_obj_diff_std": float(obj_diff.std()),
-        "fdc_best_to_centroid": float(np.linalg.norm(X[best] - centroid)) / diagonal,
-    }
+    return _named(FDC_NAMES, (
+        _pearson(y, dist_to_best),
+        dist_mean,
+        dist_std,
+        float(obj_diff.mean()),
+        float(obj_diff.std()),
+        float(np.linalg.norm(X[best] - centroid)) / diagonal,
+    ))
+
+
+def dispersion_names(quantiles: Sequence[float] = DEFAULT_QUANTILES) -> tuple[str, ...]:
+    """`dispersion_features`' output names: ratio, then difference, per quantile."""
+    return tuple(f"dispersion_{kind}_q{q:g}" for q in quantiles for kind in ("ratio", "diff"))
 
 
 def dispersion_features(
@@ -162,20 +187,16 @@ def dispersion_features(
         D = _pairwise_distances(X)
     full_mean = float(D[_upper_triangle(m)].mean())
     order = np.argsort(y, kind="stable")
-    out: dict[str, Feature] = {}
+    values: list[Feature] = []
     for q in quantiles:
         k = math.ceil(q * m)
-        ratio_name = f"dispersion_ratio_q{q:g}"
-        diff_name = f"dispersion_diff_q{q:g}"
         if k < 2:
-            out[ratio_name] = None
-            out[diff_name] = None
+            values += [None, None]
             continue
         sub = order[:k]
         sub_mean = float(D[np.ix_(sub, sub)][_upper_triangle(k)].mean())
-        out[ratio_name] = sub_mean / full_mean if full_mean > 0 else None
-        out[diff_name] = sub_mean - full_mean
-    return out
+        values += [sub_mean / full_mean if full_mean > 0 else None, sub_mean - full_mean]
+    return _named(dispersion_names(quantiles), values)
 
 
 def nearest_neighbor_tour(X: np.ndarray, y: np.ndarray, *, D=None) -> np.ndarray:
@@ -224,16 +245,18 @@ def _ic_partial(symbols: np.ndarray) -> float:
     return changes / symbols.shape[0]
 
 
+IC_NAMES = ("ic_h_max", "ic_eps_settling", "ic_m0", "ic_eps_half", "ic_neutrality")
+
+
 def information_content(X, y, *, D=None) -> dict[str, Feature]:
     """Smoothness/ruggedness/neutrality statistics of the fitness sequence
     along the nearest-neighbor tour, under an epsilon grid."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    names = ("ic_h_max", "ic_eps_settling", "ic_m0", "ic_eps_half", "ic_neutrality")
     tour = nearest_neighbor_tour(X, y, D=D)
     steps = np.linalg.norm(np.diff(X[tour], axis=0), axis=1)
     if np.any(steps == 0):
-        return {n: None for n in names}
+        return dict.fromkeys(IC_NAMES)
     y_min, y_max = float(y.min()), float(y.max())
     yn = (y - y_min) / (y_max - y_min) if y_max > y_min else np.zeros_like(y)
     slopes = np.diff(yn[tour]) / steps
@@ -255,13 +278,9 @@ def information_content(X, y, *, D=None) -> dict[str, Feature]:
         if mv >= 0.5 * m0:
             eps_half = math.log10(eps)
             break
-    return {
-        "ic_h_max": max(h_values),
-        "ic_eps_settling": eps_settling,
-        "ic_m0": m0,
-        "ic_eps_half": eps_half,
-        "ic_neutrality": float(np.mean(symbols0 == 0)),
-    }
+    return _named(IC_NAMES, (
+        max(h_values), eps_settling, m0, eps_half, float(np.mean(symbols0 == 0))
+    ))
 
 
 def nearest_better_distances(X, y, *, D=None) -> tuple[np.ndarray, np.ndarray]:
@@ -291,26 +310,25 @@ def nearest_better_distances(X, y, *, D=None) -> tuple[np.ndarray, np.ndarray]:
     return nn, nb
 
 
+NBC_NAMES = ("nbc_ratio_mean", "nbc_ratio_std", "nbc_nn_rank_correlation")
+
+
 def nbc_features(X, y, *, D=None) -> dict[str, Feature]:
     """Nearest-better clustering: nb/nn ratio statistics and the correlation
     between nearest-neighbor distance and objective rank."""
     y = np.asarray(y, dtype=float)
     nn, nb = nearest_better_distances(X, y, D=D)
     has_better = ~np.isnan(nb)
-    out: dict[str, Feature] = {}
     nn_mean = float(nn.mean())
-    if nn_mean == 0.0 or not np.any(has_better):
-        out["nbc_ratio_mean"] = None
-        out["nbc_ratio_std"] = None
-    else:
-        out["nbc_ratio_mean"] = float(nb[has_better].mean()) / nn_mean
+    ratio_mean: Feature = None
+    ratio_std: Feature = None
+    if nn_mean != 0.0 and np.any(has_better):
+        ratio_mean = float(nb[has_better].mean()) / nn_mean
         with_nn = has_better & (nn > 0)
-        out["nbc_ratio_std"] = (
-            float((nb[with_nn] / nn[with_nn]).std()) if np.any(with_nn) else None
-        )
+        if np.any(with_nn):
+            ratio_std = float((nb[with_nn] / nn[with_nn]).std())
     ranks = np.argsort(np.argsort(y, kind="stable"), kind="stable").astype(float)
-    out["nbc_nn_rank_correlation"] = _pearson(nn, ranks)
-    return out
+    return _named(NBC_NAMES, (ratio_mean, ratio_std, _pearson(nn, ranks)))
 
 
 def _histogram_peaks(y: np.ndarray, bins: int = 10) -> int:
@@ -332,6 +350,9 @@ def _histogram_peaks(y: np.ndarray, bins: int = 10) -> int:
     return peaks
 
 
+DISTRIBUTION_NAMES = ("distr_skewness", "distr_kurtosis", "distr_peak_count")
+
+
 def distribution_features(y) -> dict[str, Feature]:
     """Sample skewness, excess kurtosis, and histogram peak count."""
     y = np.asarray(y, dtype=float)
@@ -343,11 +364,7 @@ def distribution_features(y) -> dict[str, Feature]:
     else:
         skew = float(np.mean(centered**3)) / m2**1.5
         kurt = float(np.mean(centered**4)) / m2**2 - 3.0
-    return {
-        "distr_skewness": skew,
-        "distr_kurtosis": kurt,
-        "distr_peak_count": float(_histogram_peaks(y)),
-    }
+    return _named(DISTRIBUTION_NAMES, (skew, kurt, float(_histogram_peaks(y))))
 
 
 def ela_features(X, y, lb=None, ub=None) -> dict[str, Feature]:
@@ -371,8 +388,10 @@ def _cheap_groups(X, y, lb, ub, D) -> dict[str, Callable[[], dict]]:
     }
 
 
-ELA_FEATURE_NAMES: tuple[str, ...] = tuple(
-    ela_features(np.eye(3) * np.arange(3)[:, None] - 1.0, np.arange(3.0), -5.0, 5.0)
+# the groups' declared names in `_cheap_groups` order; importing this module
+# calls no group
+ELA_FEATURE_NAMES: tuple[str, ...] = (
+    *FDC_NAMES, *dispersion_names(), *IC_NAMES, *NBC_NAMES, *DISTRIBUTION_NAMES
 )
 
 
@@ -407,6 +426,16 @@ def _r_squared(y: np.ndarray, residuals: np.ndarray) -> Feature:
     return 1.0 - float(np.sum(residuals**2)) / ss_tot
 
 
+META_MODEL_NAMES = (
+    "mm_lin_r2",
+    "mm_lin_r2_adj",
+    "mm_lin_slope_ratio",
+    "mm_quad_r2",
+    "mm_quad_r2_adj",
+    "mm_quad_cond",
+)
+
+
 def meta_model_features(X, y) -> dict[str, Feature]:
     """Goodness-of-fit statistics of linear and quadratic surrogate models."""
     X = np.asarray(X, dtype=float)
@@ -431,14 +460,14 @@ def meta_model_features(X, y) -> dict[str, Feature]:
             return None
         return 1.0 - (1.0 - r2) * (m - 1) / (m - p - 1)
 
-    return {
-        "mm_lin_r2": lin_r2,
-        "mm_lin_r2_adj": adjusted(lin_r2, d),
-        "mm_lin_slope_ratio": slope_ratio,
-        "mm_quad_r2": quad_r2,
-        "mm_quad_r2_adj": adjusted(quad_r2, quad_design.shape[1] - 1),
-        "mm_quad_cond": cond,
-    }
+    return _named(META_MODEL_NAMES, (
+        lin_r2,
+        adjusted(lin_r2, d),
+        slope_ratio,
+        quad_r2,
+        adjusted(quad_r2, quad_design.shape[1] - 1),
+        cond,
+    ))
 
 
 def _gaussian_discriminants(
@@ -475,15 +504,25 @@ def _gaussian_discriminants(
     return tuple(predictions)
 
 
+LEVEL_SET_QUANTILES = (0.1, 0.25, 0.5)
+
+
+def level_set_names(quantiles: Sequence[float] = LEVEL_SET_QUANTILES) -> tuple[str, ...]:
+    """`level_set_features`' output names: LDA and QDA error, then their
+    ratio, per quantile."""
+    kinds = ("mmce_lda", "mmce_qda", "ratio")
+    return tuple(f"ls_{kind}_q{q:g}" for q in quantiles for kind in kinds)
+
+
 def level_set_features(
-    X, y, quantiles: Sequence[float] = (0.1, 0.25, 0.5), folds: int = 5
+    X, y, quantiles: Sequence[float] = LEVEL_SET_QUANTILES, folds: int = 5
 ) -> dict[str, Feature]:
     """Cross-validated misclassification rates of linear and quadratic
     discriminants separating below-quantile samples from the rest."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     m = X.shape[0]
-    out: dict[str, Feature] = {}
+    values: list[Feature] = []
     fold_id = np.arange(m) % folds
     for q in quantiles:
         labels = y <= np.quantile(y, q)
@@ -496,14 +535,12 @@ def level_set_features(
             if preds is not None:
                 for kind, pred in zip(("lda", "qda"), preds):
                     rates[kind].append(float(np.mean(pred != labels[te])))
-        for kind in ("lda", "qda"):
-            name = f"ls_mmce_{kind}_q{q:g}"
-            out[name] = float(np.mean(rates[kind])) if rates[kind] else None
-        both = out[f"ls_mmce_lda_q{q:g}"], out[f"ls_mmce_qda_q{q:g}"]
-        out[f"ls_ratio_q{q:g}"] = (
-            both[0] / both[1] if None not in both and both[1] > 0 else None
-        )
-    return out
+        lda, qda = (float(np.mean(r)) if r else None for r in rates.values())
+        values += [lda, qda, lda / qda if None not in (lda, qda) and qda > 0 else None]
+    return _named(level_set_names(quantiles), values)
+
+
+PCA_NAMES = ("pca_expl_first_x", "pca_frac90_x", "pca_expl_first_xy", "pca_frac90_xy")
 
 
 def principal_component_features(X, y) -> dict[str, Feature]:
@@ -521,14 +558,7 @@ def principal_component_features(X, y) -> dict[str, Feature]:
         n90 = int(np.searchsorted(ratio, 0.9) + 1)
         return float(eig[0] / total), n90 / eig.shape[0]
 
-    first_x, frac_x = stats(X)
-    first_xy, frac_xy = stats(np.column_stack([X, y]))
-    return {
-        "pca_expl_first_x": first_x,
-        "pca_frac90_x": frac_x,
-        "pca_expl_first_xy": first_xy,
-        "pca_frac90_xy": frac_xy,
-    }
+    return _named(PCA_NAMES, (*stats(X), *stats(np.column_stack([X, y]))))
 
 
 def full_suite_features(X, y, lb=None, ub=None) -> dict[str, Feature]:
@@ -562,14 +592,9 @@ def _suite_groups(X, y, lb, ub) -> dict[str, Callable[[], dict]]:
     }
 
 
-# built by calling the groups in turn, so importing this module starts no
-# thread
-FULL_SUITE_FEATURE_NAMES: tuple[str, ...] = tuple(
-    name
-    for group in _suite_groups(
-        np.arange(30.0).reshape(10, 3) % 7 - 3.0, np.arange(10.0) % 4, -5.0, 5.0
-    ).values()
-    for name in group()
+# the groups' declared names in `_suite_groups` order
+FULL_SUITE_FEATURE_NAMES: tuple[str, ...] = (
+    *ELA_FEATURE_NAMES, *META_MODEL_NAMES, *level_set_names(), *PCA_NAMES
 )
 
 

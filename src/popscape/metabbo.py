@@ -209,6 +209,8 @@ class TaskSpec:
             raise ConfigError(f"task {self.id}: inner ES: {exc}") from None
         if not self.train_functions:
             raise ConfigError(f"task {self.id}: empty train set")
+        if not self.test_functions:
+            raise ConfigError(f"task {self.id}: empty test set")
         for name in ("train_functions", "test_functions"):
             check_functions(getattr(self, name), self.dimension, f"task {self.id}: {name}")
         overlap = set(self.train_functions) & set(self.test_functions)

@@ -83,6 +83,8 @@ class TrainingRunConfig:
             raise ConfigError(f"duplicate task ids: {ids}")
         if self.q_runs < 1:
             raise ConfigError(f"q_runs must be at least 1, got {self.q_runs}")
+        if self.max_generations < 0:
+            raise ConfigError(f"max_generations must be >= 0, got {self.max_generations}")
         self.es_config()  # raises ConfigError on bad outer ES settings
 
     def es_config(self) -> EsConfig:
@@ -270,7 +272,8 @@ def train(
 
     Writes per-generation checkpoints, a deterministic history CSV, a
     separate timing CSV, and the best weight vector as an analyzer
-    checkpoint.
+    checkpoint.  A generation in which no candidate has a finite fitness
+    is written, then raises RuntimeError naming it.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -331,6 +334,8 @@ def train(
         records.append(record)
         _save_trainer_checkpoint(outdir, run, state, best, records, gen)
         _write_history(outdir, records, n)
+        if not np.any(np.isfinite(fits)):
+            raise RuntimeError(f"generation {gen}: no candidate has a finite fitness")
 
     best = _best_candidate(state, initial_mean)
     save_checkpoint(

@@ -91,7 +91,7 @@ def desk_episode(optimizer: str) -> dict:
     function_id = {"de": 1, "pso": 2}[optimizer]
     task = TaskSpec(
         id=f"{optimizer}_golden_desk", optimizer=optimizer, dimension=10,
-        train_functions=(function_id,), test_functions=(),
+        train_functions=(function_id,), test_functions=(3,),
         population_size=50, budget=2000,
     )
     cfg = AnalyzerConfig()

@@ -43,6 +43,7 @@ from popscape.metabbo import (
     z_score,
 )
 from popscape.trainer import TrainingRunConfig, fine_tune, train, zero_shot
+from popscape.utils import cpu_workers
 
 from .reference import (
     ref_attn_block,
@@ -236,12 +237,15 @@ def test_criterion_5_training_smoke(tmp_path):
     assert len(series) == 10
     assert all(b >= a for a, b in zip(series, series[1:]))
 
-    train(desk_scale_run(), tmp_path / "rerun")
+    # the first training alone is timed serially; the rest also pin its
+    # history against the process pool's
+    jobs = min(2, cpu_workers())
+    train(desk_scale_run(), tmp_path / "rerun", jobs=jobs)
     full_history = (tmp_path / "full" / "history.csv").read_text()
     assert (tmp_path / "rerun" / "history.csv").read_text() == full_history
 
-    train(desk_scale_run(max_generations=6), tmp_path / "resumed")
-    train(desk_scale_run(), tmp_path / "resumed", resume=True)
+    train(desk_scale_run(max_generations=6), tmp_path / "resumed", jobs=jobs)
+    train(desk_scale_run(), tmp_path / "resumed", jobs=jobs, resume=True)
     assert (tmp_path / "resumed" / "history.csv").read_text() == full_history
     ok(
         f"5 training smoke (K=2, N=6, maxGen=10, Q=3 in {elapsed:.0f}s; "

@@ -688,6 +688,8 @@ BAD_SETTINGS = (
     (("analyzer", "ff_inner_dim"), 0, "ff_inner_dim must be >= 1, got 0"),
     (("tasks", 0, "policy_hidden"), -1, "task de_full: policy_hidden must be positive, got -1"),
     (("tasks", 0, "policy_hidden"), 0, "task de_full: policy_hidden must be positive, got 0"),
+    (("tasks", 0, "test_functions"), [], "task de_full: empty test set"),
+    (("outer", "max_generations"), -3, "max_generations must be >= 0, got -3"),
 )
 
 
@@ -710,6 +712,20 @@ def test_bad_training_setting_exit_two_before_baselines(tmp_path, capsys, monkey
     assert run_with_config(tmp_path, "train", data) == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert trained == [] and not (tmp_path / "run").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_generation_without_a_finite_fitness_exits_three_after_its_row(tmp_path, capsys):
+    # every candidate's episodes end at their first step on non-finite
+    # features, so the generation has no fitness to rank
+    data = with_value(full_train_config(), ("outer", "initial_sigma"), 1e300)
+    assert run_with_config(tmp_path, "train", data) == EXIT_RUNTIME
+    assert "generation 0: no candidate has a finite fitness" in capsys.readouterr().err
+    run = tmp_path / "run"
+    rows = (run / "history.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("0,nan,")
+    assert (run / "checkpoints" / "gen_0000.json").exists()
+    assert not (run / "analyzer_best.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -357,13 +359,37 @@ def test_in_run_vector_width_and_imputation(rng):
     assert np.all(np.isfinite(vec))
 
 
-def test_full_suite_has_offline_groups(rng):
-    X = rng.uniform(-5, 5, (30, 4))
-    y = rng.normal(size=30)
-    feats = full_suite_features(X, y)
-    assert set(FULL_SUITE_FEATURE_NAMES) == set(feats)
-    assert "mm_quad_r2" in feats and "ls_mmce_lda_q0.25" in feats
-    assert feats["mm_lin_r2"] is not None
+def test_full_suite_has_offline_groups():
+    # the declared name tuples are the groups' keys, in order, on every sample
+    for m, d in ELA_SHAPES:
+        X, y = ela_sample(m, d, ties=True)
+        assert list(ela_features(X, y, -5.0, 5.0)) == list(ELA_FEATURE_NAMES)
+        feats = full_suite_features(X, y, -5.0, 5.0)
+        assert list(feats) == list(FULL_SUITE_FEATURE_NAMES)
+        assert "mm_quad_r2" in feats and "ls_mmce_lda_q0.25" in feats
+        assert feats["mm_lin_r2"] is not None
+
+
+def test_import_calls_no_feature_group():
+    # the name tuples are declared, so a process that never extracts
+    # features never loads the LAPACK routines behind the offline groups
+    code = (
+        "import numpy.linalg as la\n"
+        "def stub(*args, **kwargs):\n"
+        "    raise AssertionError('numpy.linalg called at import')\n"
+        "for name in ('lstsq', 'solve', 'slogdet', 'eigvalsh', 'norm'):\n"
+        "    setattr(la, name, stub)\n"
+        "import popscape, popscape.ela, popscape.analysis, popscape.cli\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+
+@pytest.mark.parametrize("quantiles", [(0.5,), (0.3, 0.02, 0.75)])
+def test_names_follow_non_default_quantiles(rng, quantiles):
+    X = rng.uniform(-5, 5, (40, 3))
+    y = rng.normal(size=40)
+    assert tuple(dispersion_features(X, y, quantiles)) == ela.dispersion_names(quantiles)
+    assert tuple(ela.level_set_features(X, y, quantiles)) == ela.level_set_names(quantiles)
 
 
 def per_class_discriminants(X_tr, labels, X_te):
