@@ -77,6 +77,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Optional
@@ -183,8 +184,9 @@ class Observation:
             raise ConfigError("observation needs at least 2 candidates")
         if X.shape[0] != y.shape[0]:
             raise ConfigError("X and y disagree on population size")
-        if np.any(lb >= ub):
-            raise ConfigError("bounds must satisfy lb < ub in every dimension")
+        span = ub - lb  # finite and positive iff lb < ub, both finite, without overflow
+        if not (0.0 < span.min() and span.max() < math.inf):
+            raise ConfigError("bounds must be finite with lb < ub in every dimension")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "lb", lb)
@@ -207,31 +209,29 @@ class FeatureSet:
     population: np.ndarray
 
 
-@dataclass
-class AttnBlockParams:
-    """One transformer block: self-attention + feed-forward, both with LayerNorm.
+# One transformer block, self-attention then feed-forward, each followed by
+# LayerNorm: its tensors in packing order, with their shapes at hidden width
+# h and feed-forward width f.  Q/K/V/O carry no bias; the feed-forward
+# layers do.
+_BLOCK_TENSORS = (
+    ("wq", lambda h, f: (h, h)),
+    ("wk", lambda h, f: (h, h)),
+    ("wv", lambda h, f: (h, h)),
+    ("wo", lambda h, f: (h, h)),
+    ("ln1_gain", lambda h, f: (h,)),
+    ("ln1_bias", lambda h, f: (h,)),
+    ("ff1_w", lambda h, f: (h, f)),
+    ("ff1_b", lambda h, f: (f,)),
+    ("ff2_w", lambda h, f: (f, h)),
+    ("ff2_b", lambda h, f: (h,)),
+    ("ln2_gain", lambda h, f: (h,)),
+    ("ln2_bias", lambda h, f: (h,)),
+)
+# One encoder layer's blocks, in packing order.
+_STAGES = ("cross_solution", "cross_dimension")
 
-    Q/K/V/O projections carry no bias; the feed-forward layers do.
-    """
-
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
-    wo: np.ndarray
-    ln1_gain: np.ndarray
-    ln1_bias: np.ndarray
-    ff1_w: np.ndarray
-    ff1_b: np.ndarray
-    ff2_w: np.ndarray
-    ff2_b: np.ndarray
-    ln2_gain: np.ndarray
-    ln2_bias: np.ndarray
-
-
-@dataclass
-class EncoderLayer:
-    cross_solution: AttnBlockParams
-    cross_dimension: AttnBlockParams
+AttnBlockParams = NamedTuple("AttnBlockParams", [(name, np.ndarray) for name, _ in _BLOCK_TENSORS])
+EncoderLayer = NamedTuple("EncoderLayer", [(stage, AttnBlockParams) for stage in _STAGES])
 
 
 @dataclass
@@ -801,23 +801,6 @@ def ts_attn_forward(
 
 # --- flat parameter layout ------------------------------------------------
 
-_STAGES = ("cross_solution", "cross_dimension")
-_BLOCK_TENSORS = (
-    ("wq", lambda h, f: (h, h)),
-    ("wk", lambda h, f: (h, h)),
-    ("wv", lambda h, f: (h, h)),
-    ("wo", lambda h, f: (h, h)),
-    ("ln1_gain", lambda h, f: (h,)),
-    ("ln1_bias", lambda h, f: (h,)),
-    ("ff1_w", lambda h, f: (h, f)),
-    ("ff1_b", lambda h, f: (f,)),
-    ("ff2_w", lambda h, f: (f, h)),
-    ("ff2_b", lambda h, f: (h,)),
-    ("ln2_gain", lambda h, f: (h,)),
-    ("ln2_bias", lambda h, f: (h,)),
-)
-
-
 def layout(config: AnalyzerConfig) -> tuple[tuple[str, tuple[int, ...]], ...]:
     """Fixed packing order: embedding, then per layer the cross-solution
     block followed by the cross-dimension block, tensors in `_BLOCK_TENSORS`
@@ -838,16 +821,13 @@ def param_count(config: AnalyzerConfig) -> int:
 
 def decode_params(theta, config: AnalyzerConfig) -> PopulationEncoder:
     """The network whose tensors are copies of `theta`'s slices in `layout` order."""
-    tensors = unpack(np.asarray(theta, dtype=float).reshape(-1), layout(config))
-    net = PopulationEncoder(config=config, w_emb=tensors["w_emb"])
-    for i in range(config.num_layers):
-        blocks = {
-            stage: AttnBlockParams(
-                **{name: tensors[f"layer{i}.{stage}.{name}"] for name, _ in _BLOCK_TENSORS}
-            )
-            for stage in _STAGES
-        }
-        net.layers.append(EncoderLayer(**blocks))
+    tensors = iter(unpack(np.asarray(theta, dtype=float).reshape(-1), layout(config)).values())
+    net = PopulationEncoder(config=config, w_emb=next(tensors))
+    for _ in range(config.num_layers):
+        net.layers.append(EncoderLayer._make(
+            AttnBlockParams._make(itertools.islice(tensors, len(_BLOCK_TENSORS)))
+            for _ in _STAGES
+        ))
     return net
 
 

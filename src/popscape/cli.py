@@ -276,6 +276,8 @@ def _run_directory(args, seed: int) -> Path:
 
 
 def cmd_train(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     run = load_train_config(args.config)
     if args.resume:
         run_dir = Path(args.resume)
@@ -294,6 +296,8 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     if args.q < 1:
         raise ConfigError(f"--q must be at least 1, got {args.q}")
+    if args.epochs < 0:
+        raise ConfigError(f"--epochs must be at least 0, got {args.epochs}")
     config, theta, provenance = load_checkpoint(args.checkpoint)
     task = load_task_config(args.task)
     if args.mode == "zero_shot":

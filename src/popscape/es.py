@@ -171,10 +171,7 @@ def es_sample(state: EsState, n: Optional[int] = None) -> np.ndarray:
     else:
         c_cov = _mixture_c_cov(d)
         steps = z
-        if cfg.variant == EsVariant.R1ES:
-            r = state.rng.standard_normal(n)
-            steps = math.sqrt(1.0 - c_cov) * steps + math.sqrt(c_cov) * r[:, None] * state.path
-        elif cfg.variant == EsVariant.RMES:
+        if cfg.variant == EsVariant.RMES:
             if state.directions:
                 r = state.rng.standard_normal((n, len(state.directions)))
                 for j, direction in enumerate(state.directions):
@@ -182,15 +179,15 @@ def es_sample(state: EsState, n: Optional[int] = None) -> np.ndarray:
                         math.sqrt(1.0 - c_cov) * steps
                         + math.sqrt(c_cov) * r[:, j : j + 1] * direction
                     )
-        else:  # FAST_CMAES
-            r1 = state.rng.standard_normal(n)
-            steps = math.sqrt(1.0 - c_cov) * steps + math.sqrt(c_cov) * r1[:, None] * state.path
-            if state.archive:
-                picks = state.rng.integers(len(state.archive), size=n)
-                r2 = state.rng.standard_normal(n)
-                chosen = np.stack([state.archive[k] for k in picks])
-                c_a = c_cov / 2.0
-                steps = math.sqrt(1.0 - c_a) * steps + math.sqrt(c_a) * r2[:, None] * chosen
+        else:  # R1ES and FAST_CMAES follow the evolution path
+            r = state.rng.standard_normal(n)
+            steps = math.sqrt(1.0 - c_cov) * steps + math.sqrt(c_cov) * r[:, None] * state.path
+        if cfg.variant == EsVariant.FAST_CMAES and state.archive:
+            picks = state.rng.integers(len(state.archive), size=n)
+            r2 = state.rng.standard_normal(n)
+            chosen = np.stack([state.archive[k] for k in picks])
+            c_a = c_cov / 2.0
+            steps = math.sqrt(1.0 - c_a) * steps + math.sqrt(c_a) * r2[:, None] * chosen
     return state.mean[None, :] + state.sigma * steps
 
 

@@ -150,6 +150,10 @@ class FunctionDef:
     min_dimension: int = 1
 
 
+def _slope_per_instance(z: np.ndarray) -> np.ndarray:
+    raise ConfigError("linear_slope draws its signs per instance; build it with make_problem")
+
+
 def _make_linear_slope(signs: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     d = signs.shape[0]
     magnitude = 10.0 ** (np.arange(d) / (d - 1)) if d > 1 else np.ones(1)
@@ -167,7 +171,7 @@ FUNCTIONS: dict[int, FunctionDef] = {
         FunctionDef(1, "sphere", _sphere, 0.0),
         FunctionDef(2, "ellipsoidal", _ellipsoidal, 0.0),
         FunctionDef(3, "rastrigin", _rastrigin, 0.0),
-        FunctionDef(5, "linear_slope", _sphere, 5.0),  # evaluate replaced per instance
+        FunctionDef(5, "linear_slope", _slope_per_instance, 5.0),
         FunctionDef(7, "step_ellipsoidal", _step_ellipsoidal, 0.0),
         FunctionDef(8, "rosenbrock", _rosenbrock, 1.0, min_dimension=2),
         FunctionDef(13, "sharp_ridge", _sharp_ridge, 0.0, min_dimension=2),

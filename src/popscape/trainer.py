@@ -83,8 +83,8 @@ class TrainingRunConfig:
             raise ConfigError(f"duplicate task ids: {ids}")
         if self.q_runs < 1:
             raise ConfigError(f"q_runs must be at least 1, got {self.q_runs}")
-        if self.max_generations < 0:
-            raise ConfigError(f"max_generations must be >= 0, got {self.max_generations}")
+        if self.max_generations < 1:
+            raise ConfigError(f"max_generations must be >= 1, got {self.max_generations}")
         self.es_config()  # raises ConfigError on bad outer ES settings
 
     def es_config(self) -> EsConfig:

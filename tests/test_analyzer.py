@@ -66,6 +66,16 @@ def test_observation_rejects_bad_shapes(X, lb, match):
         Observation(X=X, y=np.zeros(len(X)), lb=lb, ub=5.0)
 
 
+@pytest.mark.parametrize(
+    "lb, ub", [(np.nan, 5.0), (-np.inf, 5.0), (-5.0, np.inf)], ids=["nan", "minus_inf", "plus_inf"]
+)
+def test_observation_rejects_non_finite_bounds(lb, ub):
+    # each was accepted: a NaN bound passed `lb >= ub` and made the
+    # handcrafted features NaN, an infinite one every normalized position
+    with pytest.raises(ConfigError, match="bounds must be finite"):
+        Observation(X=np.zeros((4, 3)), y=np.arange(4.0), lb=lb, ub=ub)
+
+
 # --- PIE ------------------------------------------------------------------
 
 

@@ -1,11 +1,15 @@
+import dataclasses
 import hashlib
 import json
 import os
+import re
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import popscape.cli as cli
 from popscape.analyzer import Observation, load_checkpoint
 from popscape.trainer import TrainingRunConfig
 from popscape.cli import (
@@ -507,32 +511,42 @@ def _keys(field) -> tuple:
     return field if isinstance(field, tuple) else (field,)
 
 
-TASK_NUMBERS = (
-    "dimension", "population_size", "budget", "policy_hidden",
-    "inner_population", "inner_epochs", "episodes_per_eval",
-    ("noise", "level"),
-)
-TASK_OTHERS = (
-    "id", "optimizer", "train_functions", "test_functions",
-    "analyzer_slot", "inner_variant", ("noise", "kind"),
-)
-TASK_REQUIRED = TASK_NUMBERS + TASK_OTHERS
+def schema_fields(schema: dict, prefix: tuple = ()):
+    """(path, type, nullable) of every field under ``schema``, walking into
+    nested mappings and into the first entry of a list of mappings."""
+    for key, (kind, _) in schema.items():
+        path = prefix + (key,)
+        nullable = typing.get_origin(kind) is typing.Union
+        if nullable:
+            (kind,) = [k for k in typing.get_args(kind) if k is not type(None)]
+        yield path, kind, nullable
+        item = typing.get_args(kind)[0] if typing.get_origin(kind) is tuple else None
+        if path == ("outer",):
+            yield from schema_fields(cli._OUTER_SCHEMA, path)
+        elif dataclasses.is_dataclass(kind):
+            yield from schema_fields(cli._schema(kind), path)
+        elif dataclasses.is_dataclass(item):
+            yield from schema_fields(cli._schema(item), path + (0,))
 
 
-def in_task(fields) -> tuple:
-    return tuple(("tasks", 0) + _keys(f) for f in fields)
+def numbers(schema: dict) -> tuple:
+    """The paths of the int and float fields, nullable ones included."""
+    return tuple(path for path, kind, _ in schema_fields(schema) if kind in (int, float))
 
 
-TRAIN_NUMBERS = (
-    "seed", "q_runs",
-    ("analyzer", "hidden_dim"), ("analyzer", "num_heads"), ("analyzer", "num_layers"),
-    ("outer", "population"), ("outer", "max_generations"), ("outer", "initial_sigma"),
-) + in_task(TASK_NUMBERS)
-TRAIN_REQUIRED = TRAIN_NUMBERS + (
-    "tasks", ("outer", "variant"), ("outer", "initial_mean_mode"),
-) + in_task(TASK_OTHERS)
-GRID_REQUIRED = ("cells", "runs", "kinds", "seed")
-INPUTS_REQUIRED = ("checkpoint", "task", "function_id", "runs", "seed")
+def required(schema: dict) -> tuple:
+    """The paths of the fields that reject null."""
+    return tuple(path for path, _, nullable in schema_fields(schema) if not nullable)
+
+
+TASK_NUMBERS = numbers(cli._schema(cli.TaskSpec))
+TASK_REQUIRED = required(cli._schema(cli.TaskSpec))
+TRAIN_NUMBERS = numbers(cli._TRAIN_SCHEMA)
+TRAIN_REQUIRED = required(cli._TRAIN_SCHEMA)
+GRID_NUMBERS = numbers(cli._schema(cli.BenchGrid))
+GRID_REQUIRED = required(cli._schema(cli.BenchGrid))
+INPUTS_NUMBERS = numbers(cli._schema(cli.AnalyzeInputs))
+INPUTS_REQUIRED = required(cli._schema(cli.AnalyzeInputs))
 
 
 def dotted(root: str, field) -> str:
@@ -588,8 +602,8 @@ CASES = (
 BOOL_CASES = (
     [("train", "config", f) for f in TRAIN_NUMBERS]
     + [("evaluate", "task", f) for f in TASK_NUMBERS]
-    + [("bench", "grid", f) for f in ("runs", "seed")]
-    + [("analyze", "inputs", f) for f in ("function_id", "runs", "seed")]
+    + [("bench", "grid", f) for f in GRID_NUMBERS]
+    + [("analyze", "inputs", f) for f in INPUTS_NUMBERS]
 )
 
 
@@ -689,7 +703,8 @@ BAD_SETTINGS = (
     (("tasks", 0, "policy_hidden"), -1, "task de_full: policy_hidden must be positive, got -1"),
     (("tasks", 0, "policy_hidden"), 0, "task de_full: policy_hidden must be positive, got 0"),
     (("tasks", 0, "test_functions"), [], "task de_full: empty test set"),
-    (("outer", "max_generations"), -3, "max_generations must be >= 0, got -3"),
+    (("outer", "max_generations"), -3, "max_generations must be >= 1, got -3"),
+    (("outer", "max_generations"), 0, "max_generations must be >= 1, got 0"),
 )
 
 
@@ -726,6 +741,36 @@ def test_generation_without_a_finite_fitness_exits_three_after_its_row(tmp_path,
     assert len(rows) == 2 and rows[1].startswith("0,nan,")
     assert (run / "checkpoints" / "gen_0000.json").exists()
     assert not (run / "analyzer_best.json").exists()
+
+
+SWEEP = [(field, value) for field in TRAIN_NUMBERS for value in (0, -1, 1e300)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "field,value", SWEEP, ids=[f"{dotted('config', f)}={v}" for f, v in SWEEP]
+)
+def test_numeric_setting_trains_to_finite_fitness_or_fails_loudly(
+    tmp_path, capsys, monkeypatch, field, value
+):
+    # a setting either exits 2 at load, trains a fitness in every generation,
+    # or exits 3 naming the generation that has none
+    trained, real_train = [], cli.train
+    monkeypatch.setattr(cli, "train", lambda *a, **k: trained.append(a) or real_train(*a, **k))
+    data = with_value(full_train_config(), field, value)
+    rc = run_with_config(tmp_path, "train", data)
+    err = capsys.readouterr().err
+    if rc == EXIT_CONFIG:
+        assert trained == [] and not (tmp_path / "run").exists(), err
+    elif rc == EXIT_RUNTIME:
+        assert re.search(r"generation \d+: no candidate has a finite fitness", err), err
+    else:
+        assert rc == EXIT_OK
+        header, *rows = (tmp_path / "run" / "history.csv").read_text().splitlines()
+        fits = [i for i, name in enumerate(header.split(",")) if name.startswith("fit_")]
+        assert rows and all(
+            any(np.isfinite(float(row.split(",")[i])) for i in fits) for row in rows
+        ), rows
 
 
 @pytest.mark.parametrize(
@@ -765,6 +810,31 @@ def test_evaluate_nonpositive_q_exit_two_before_any_episode(tmp_path, capsys, mo
     assert rc == EXIT_CONFIG
     assert f"--q must be at least 1, got {q}" in capsys.readouterr().err
     assert scored == []
+
+
+def test_evaluate_negative_epochs_exit_two_before_any_episode(tmp_path, capsys, monkeypatch):
+    # --epochs -1 reported epoch 0 alone with exit 0
+    tuned = forbid(monkeypatch, cli, "fine_tune")
+    task = tmp_path / "task.json"
+    task.write_text(json.dumps(full_task()))
+    rc = main([
+        "evaluate", "--checkpoint", str(GOLDEN_CHECKPOINT), "--task", str(task),
+        "--mode", "fine_tune", "--epochs", "-1",
+    ])
+    assert rc == EXIT_CONFIG
+    assert "--epochs must be at least 0, got -1" in capsys.readouterr().err
+    assert tuned == []
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_train_nonpositive_jobs_exit_two_before_training(tmp_path, capsys, monkeypatch, jobs):
+    # --jobs 0 and -3 trained serially with exit 0
+    trained = forbid(monkeypatch, cli, "train")
+    config = train_config(tmp_path)
+    rc = main(["train", "--config", str(config), "--run-dir", str(tmp_path / "run"), "--jobs", str(jobs)])
+    assert rc == EXIT_CONFIG
+    assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+    assert trained == [] and not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])

@@ -70,6 +70,12 @@ def test_linear_slope_minimum_at_boundary_corner(rng):
     assert np.all(values >= corner_value)
 
 
+def test_linear_slope_table_entry_points_to_make_problem():
+    # the entry held the sphere as a placeholder, so a direct call returned [3.]
+    with pytest.raises(ConfigError, match="make_problem"):
+        FUNCTIONS[5].evaluate(np.ones((1, 3)))
+
+
 def test_gaussian_noise_level_zero_is_noiseless(rng):
     X = rng.uniform(-5, 5, (6, 3))
     noisy = make(1, 3, noise=NoiseModel(NoiseKind.GAUSSIAN_MULTIPLICATIVE, 0.0), seed=4)
