@@ -680,8 +680,6 @@ def forbid(monkeypatch, module, name) -> list:
 @pytest.mark.parametrize("q_runs", [0, -1])
 def test_train_nonpositive_q_runs_exit_two_before_training(tmp_path, capsys, monkeypatch, q_runs):
     # q_runs 0 trained to NaN fitness and baselines; -1 failed with exit 3
-    import popscape.cli as cli
-
     trained = forbid(monkeypatch, cli, "train")
     config = train_config(tmp_path, q_runs=q_runs)
     assert main(["train", "--config", str(config), "--run-dir", str(tmp_path / "run")]) == EXIT_CONFIG
@@ -720,8 +718,6 @@ def bad_setting_id(field, value) -> str:
 def test_bad_training_setting_exit_two_before_baselines(tmp_path, capsys, monkeypatch, field, value, message):
     # these computed and wrote baselines.json first, then exited 2 or (a raw
     # ValueError for the variants) 3
-    import popscape.cli as cli
-
     trained = forbid(monkeypatch, cli, "train")
     data = with_value(full_train_config(), field, value)
     assert run_with_config(tmp_path, "train", data) == EXIT_CONFIG
@@ -785,8 +781,6 @@ def test_non_finite_json_literal_exit_two_before_any_work(
 ):
     # json.loads parsed these: a NaN initial sigma trained to all-NaN fitness
     # with exit 0, and an infinite noise level reached the episodes
-    import popscape.cli as cli
-
     work = forbid(monkeypatch, cli, {"train": "train", "evaluate": "zero_shot"}[command])
     data = with_value(base_config(command, tmp_path), field, value)
     assert run_with_config(tmp_path, command, data) == EXIT_CONFIG
@@ -798,8 +792,6 @@ def test_non_finite_json_literal_exit_two_before_any_work(
 @pytest.mark.parametrize("mode", ["zero_shot", "fine_tune"])
 def test_evaluate_nonpositive_q_exit_two_before_any_episode(tmp_path, capsys, monkeypatch, mode, q):
     # --q 0 printed an upsilon of NaN with exit 0
-    import popscape.cli as cli
-
     scored = forbid(monkeypatch, cli, mode)
     task = tmp_path / "task.json"
     task.write_text(json.dumps(full_task()))
