@@ -24,10 +24,10 @@ from .errors import ConfigError
 from .metabbo import (
     EXTRACTOR_KINDS,
     ElaExtractor,
+    HandcraftedExtractor,
     NeuralExtractor,
     TaskSpec,
     make_instance,
-    make_slot_extractor,
     meta_train,
     run_episode,
 )
@@ -179,7 +179,11 @@ def make_bench_extractor(
         if theta is None:
             rng = np.random.Generator(np.random.PCG64(0))
             theta = rng.normal(0.0, 0.2, param_count(analyzer_cfg))
-    extractor = make_slot_extractor(kind, theta, analyzer_cfg)  # rejects an unknown kind
+        extractor = NeuralExtractor(theta, analyzer_cfg)
+    elif kind == "handcrafted":
+        extractor = HandcraftedExtractor()
+    else:
+        raise ConfigError(f"unknown extractor kind {kind!r}; one of {EXTRACTOR_KINDS}")
     return lambda obs: extractor.extract(obs)[1]
 
 

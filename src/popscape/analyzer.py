@@ -146,8 +146,9 @@ class AnalyzerConfig:
     ff_inner_dim: Optional[int] = None
 
     def __post_init__(self):
-        if self.hidden_dim <= 0 or self.num_heads <= 0 or self.num_layers <= 0:
-            raise ConfigError("analyzer dimensions must be positive")
+        for name in ("hidden_dim", "num_heads", "num_layers"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.hidden_dim % self.num_heads != 0:
             raise ConfigError(
                 f"hidden_dim {self.hidden_dim} not divisible by num_heads {self.num_heads}"

@@ -35,9 +35,9 @@ from .analysis import (
 )
 from .ela import features_to_csv
 from .errors import ConfigError, IntegrityError
-from .metabbo import EXTRACTOR_KINDS, TaskSpec, make_slot_extractor
+from .metabbo import EXTRACTOR_KINDS, ElaExtractor, HandcraftedExtractor, NeuralExtractor, TaskSpec
 from .problems import check_functions
-from .trainer import TrainingRunConfig, fine_tune, train, zero_shot
+from .trainer import TrainingRunConfig, fine_tune, resume_checkpoint, train, zero_shot
 from .utils import csv_text, write_atomic
 
 EXIT_OK = 0
@@ -283,6 +283,7 @@ def cmd_train(args) -> int:
         run_dir = Path(args.resume)
         if not run_dir.exists():
             raise ConfigError(f"resume directory {run_dir} does not exist")
+        resume_checkpoint(run, run_dir)  # refuse before config.json is rewritten
     else:
         run_dir = _run_directory(args, run.seed)
     config_text = json.dumps(dataclasses.asdict(run), indent=1, sort_keys=True)
@@ -327,11 +328,13 @@ def cmd_evaluate(args) -> int:
 
 def cmd_extract(args) -> int:
     observations = parse_observation_file(args.input)
-    if args.extractor in ("ela", "handcrafted"):
-        extractor = make_slot_extractor(args.extractor)
+    if args.extractor == "ela":
+        extractor = ElaExtractor()
+    elif args.extractor == "handcrafted":
+        extractor = HandcraftedExtractor()
     else:
         config, theta, _ = load_checkpoint(args.extractor)
-        extractor = make_slot_extractor("neural", theta, config)
+        extractor = NeuralExtractor(theta, config)
     rows = [dict(zip(extractor.names, extractor.extract(obs)[1])) for obs in observations]
     write_atomic(args.output, features_to_csv(rows, extractor.names))
     print(f"wrote {len(rows)} feature rows to {args.output}")

@@ -28,7 +28,7 @@ from .ela import (
     impute_missing,
 )
 from .errors import ConfigError
-from .es import EsConfig, es_init, es_sample, es_update
+from .es import EsConfig, es_init, es_sample, es_update, sanitize_fitness
 from .optimizers import MIN_POPULATION, DeConfig, PsoConfig, de_step, init_state, pso_step
 from .problems import NoiseModel, Problem, ProblemSpec, check_functions, make_problem, sample_offset
 from .utils import array_digest, derive_seed, layout_size, unpack
@@ -80,19 +80,6 @@ class HandcraftedExtractor:
 
 
 EXTRACTOR_KINDS = tuple(c.name for c in (NeuralExtractor, ElaExtractor, HandcraftedExtractor))
-
-
-def make_slot_extractor(slot: str, theta=None, analyzer_cfg=None):
-    """Extractor of one kind; the neural kind needs weights and an analyzer config."""
-    if slot == "neural":
-        if theta is None or analyzer_cfg is None:
-            raise ConfigError("the neural kind needs weights and an analyzer config")
-        return NeuralExtractor(theta, analyzer_cfg)
-    if slot == "ela":
-        return ElaExtractor()
-    if slot == "handcrafted":
-        return HandcraftedExtractor()
-    raise ConfigError(f"unknown extractor kind {slot!r}; one of {EXTRACTOR_KINDS}")
 
 
 # --- meta-policy ---------------------------------------------------------------
@@ -219,7 +206,10 @@ class TaskSpec:
                 f"task {self.id}: train and test sets overlap on {sorted(overlap)}"
             )
         if self.budget < self.population_size:
-            raise ConfigError(f"task {self.id}: budget smaller than one step")
+            raise ConfigError(
+                f"task {self.id}: budget must be >= population_size "
+                f"({self.population_size}), got {self.budget}"
+            )
 
     @property
     def horizon(self) -> int:
@@ -400,16 +390,36 @@ def train_instance_schedule(task: TaskSpec, seed_base: int, epoch: int):
     return picks
 
 
+def run_picks(task: TaskSpec, extractor, policy: MetaPolicy, picks):
+    """Episodes over (function id, instance seed, episode seed) picks, in order."""
+    for fid, inst_seed, ep_seed in picks:
+        yield run_episode(task, extractor, policy, make_instance(task, fid, inst_seed), ep_seed)
+
+
 def mean_return(task: TaskSpec, extractor, policy: MetaPolicy, picks) -> tuple[float, int]:
     """Mean episode return of one policy over scheduled picks, and its FEs."""
     total = 0.0
     fe_used = 0
-    for fid, inst_seed, ep_seed in picks:
-        problem = make_instance(task, fid, inst_seed)
-        ep = run_episode(task, extractor, policy, problem, ep_seed)
+    for ep in run_picks(task, extractor, policy, picks):
         total += episode_return(ep)
         fe_used += ep.fe_used
     return total / len(picks), fe_used
+
+
+def policy_search_epoch(task: TaskSpec, state, decode, seed_base: int, epoch: int):
+    """One epoch of an ES over policy-bearing vectors: sample, score each
+    ``decode(vector) -> (extractor, policy)`` on the epoch's train picks,
+    rank and update.  Returns the candidates, their ranked returns and FEs."""
+    candidates = es_sample(state)
+    picks = train_instance_schedule(task, seed_base, epoch)
+    returns = np.empty(len(candidates))
+    fe_used = 0
+    for i, vec in enumerate(candidates):
+        returns[i], fe = mean_return(task, *decode(vec), picks)
+        fe_used += fe
+    returns = sanitize_fitness(returns)
+    es_update(state, candidates, returns)
+    return candidates, returns, fe_used
 
 
 def meta_train(
@@ -427,19 +437,15 @@ def meta_train(
     template = task.template()
     n_params = policy_param_count(template, extractor.width)
     epochs = task.inner_epochs if epochs is None else epochs
-    inner_cfg = task.inner_es_config(n_params, derive_seed(seed, "inner-es"))
-    state = es_init(inner_cfg)
+    state = es_init(task.inner_es_config(n_params, derive_seed(seed, "inner-es")))
+
+    def decode(vec):
+        return extractor, policy_decode(vec, template, extractor.width)
+
     fe_used = 0
     history = []
     for epoch in range(epochs):
-        candidates = es_sample(state)
-        picks = train_instance_schedule(task, seed, epoch)
-        returns = np.empty(inner_cfg.population)
-        for i, vec in enumerate(candidates):
-            policy = policy_decode(vec, template, extractor.width)
-            returns[i], fe = mean_return(task, extractor, policy, picks)
-            fe_used += fe
-        es_update(state, candidates, returns)
+        fe_used += policy_search_epoch(task, state, decode, seed, epoch)[2]
         history.append((epoch, state.best_f))
     best = state.mean if state.best_x is None else state.best_x
     return MetaTrainResult(
@@ -505,15 +511,14 @@ def run_test_episodes(
     out = {}
     fe_used = 0
     for fid in task.test_functions:
-        values = np.empty(q_runs)
-        for q in range(q_runs):
-            inst_seed = derive_seed(seed_base, task.id, "test-instance", fid, q)
-            ep_seed = derive_seed(seed_base, task.id, "test-episode", fid, q)
-            problem = make_instance(task, fid, inst_seed)
-            ep = run_episode(task, extractor, policy, problem, ep_seed)
-            values[q] = ep.f_star
-            fe_used += ep.fe_used
-        out[fid] = values
+        picks = [
+            (fid, derive_seed(seed_base, task.id, "test-instance", fid, q),
+             derive_seed(seed_base, task.id, "test-episode", fid, q))
+            for q in range(q_runs)
+        ]
+        episodes = list(run_picks(task, extractor, policy, picks))
+        out[fid] = np.array([ep.f_star for ep in episodes], dtype=float)
+        fe_used += sum(ep.fe_used for ep in episodes)
     return out, fe_used
 
 
@@ -567,20 +572,13 @@ def upsilon_from_fstars(
     return value, per_problem, z_table
 
 
-def check_baseline(task: TaskSpec, baseline: BaselineStats) -> None:
-    """Raise ConfigError unless `baseline` has stats for every test problem."""
-    missing = [fid for fid in task.test_functions if fid not in baseline.stats]
-    if missing:
-        raise ConfigError(
-            f"baseline stats for task {task.id} missing problems {missing}"
-        )
-
-
 def relative_performance(
     extractor, task: TaskSpec, baseline: BaselineStats, q_runs: int, seed_base: int
 ) -> UpsilonResult:
     """Mean z-score of the candidate pipeline against the cached baseline."""
-    check_baseline(task, baseline)
+    missing = [fid for fid in task.test_functions if fid not in baseline.stats]
+    if missing:
+        raise ConfigError(f"baseline stats for task {task.id} missing problems {missing}")
     trained, fstars, fe_test = train_and_test(task, extractor, q_runs, seed_base)
     value, per_problem, z_table = upsilon_from_fstars(task, baseline, fstars)
     return UpsilonResult(

@@ -33,14 +33,12 @@ from .metabbo import (
     NeuralExtractor,
     TaskSpec,
     UpsilonResult,
-    check_baseline,
     compute_baseline,
-    mean_return,
     policy_decode,
+    policy_search_epoch,
     relative_performance,
     run_test_episodes,
     train_and_test,
-    train_instance_schedule,
     upsilon_from_fstars,
 )
 # Not called here; perfbench/tracing.py patches these names in this namespace.
@@ -262,6 +260,18 @@ def latest_checkpoint(outdir: Path) -> Optional[Path]:
     return max(files, key=lambda p: int(p.stem[4:]), default=None)
 
 
+def resume_checkpoint(run: TrainingRunConfig, outdir) -> dict:
+    """The newest checkpoint in ``outdir``; ConfigError when there is none or
+    another run configuration wrote it."""
+    ckpt_file = latest_checkpoint(outdir)
+    if ckpt_file is None:
+        raise ConfigError(f"nothing to resume in {outdir}")
+    payload = load_trainer_checkpoint(ckpt_file)
+    if payload["run_digest"] != run.digest():
+        raise ConfigError("checkpoint was produced by a different run configuration")
+    return payload
+
+
 def train(
     run: TrainingRunConfig,
     outdir,
@@ -277,6 +287,7 @@ def train(
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    payload = resume_checkpoint(run, outdir) if resume else None
     baselines = compute_baselines(
         run.tasks, run.q_runs, run.seed, cache_path=outdir / "baselines.json"
     )
@@ -285,15 +296,7 @@ def train(
     initial_mean = state.mean
     records: list[GenerationRecord] = []
     start_gen = 0
-    if resume:
-        ckpt_file = latest_checkpoint(outdir)
-        if ckpt_file is None:
-            raise ConfigError(f"nothing to resume in {outdir}")
-        payload = load_trainer_checkpoint(ckpt_file)
-        if payload["run_digest"] != run.digest():
-            raise ConfigError(
-                "checkpoint was produced by a different run configuration"
-            )
+    if payload is not None:
         state = state_from_dict(payload["es_state"])
         records = [GenerationRecord(**r) for r in payload["records"]]
         start_gen = payload["generation"] + 1
@@ -369,25 +372,29 @@ class EvaluationReport:
     trajectory: list = field(default_factory=list)  # (epoch, upsilon, best_so_far)
 
 
+def _frozen_encoder_score(
+    theta: np.ndarray, analyzer_cfg: AnalyzerConfig, task: TaskSpec, q_runs: int, seed: int
+):
+    """Both workflows' start: the evaluation seed base, the task's baseline,
+    and the policy meta-trained on the frozen encoder with its
+    (upsilon, per problem, z table)."""
+    seed_base = derive_seed(seed, "evaluate")
+    baseline = compute_baseline(task, q_runs, derive_seed(seed, "baseline"))
+    extractor = NeuralExtractor(theta, analyzer_cfg)
+    trained, fstars, _ = train_and_test(task, extractor, q_runs, seed_base)
+    return seed_base, baseline, trained, upsilon_from_fstars(task, baseline, fstars)
+
+
 def zero_shot(
     theta: np.ndarray,
     analyzer_cfg: AnalyzerConfig,
     task: TaskSpec,
     q_runs: int,
     seed: int,
-    baseline: Optional[BaselineStats] = None,
 ) -> EvaluationReport:
     """Freeze the encoder weights; meta-train only the policy and score it."""
-    seed_base = derive_seed(seed, "evaluate")
-    if baseline is None:
-        baseline = compute_baseline(task, q_runs, derive_seed(seed, "baseline"))
-    ups = pipeline_score(theta, analyzer_cfg, task, baseline, q_runs, seed_base)
-    return EvaluationReport(
-        mode="zero_shot",
-        upsilon=ups.value,
-        per_problem=ups.per_problem,
-        z_table=ups.z_table,
-    )
+    *_, score = _frozen_encoder_score(theta, analyzer_cfg, task, q_runs, seed)
+    return EvaluationReport("zero_shot", *score)
 
 
 def fine_tune(
@@ -399,18 +406,13 @@ def fine_tune(
     epochs: int = 5,
     population: int = 6,
     sigma: float = 0.1,
-    baseline: Optional[BaselineStats] = None,
 ) -> EvaluationReport:
     """Co-evolve the concatenated (encoder, policy) vector from the trained
-    encoder and its zero-shot policy; epoch 0 is the zero-shot result."""
-    seed_base = derive_seed(seed, "evaluate")
-    if baseline is None:
-        baseline = compute_baseline(task, q_runs, derive_seed(seed, "baseline"))
-    check_baseline(task, baseline)
-    extractor0 = NeuralExtractor(theta, analyzer_cfg)
-    trained, fstars0, _ = train_and_test(task, extractor0, q_runs, seed_base)
-    ups0, per_problem, z_table = upsilon_from_fstars(task, baseline, fstars0)
-
+    encoder and its zero-shot policy; epoch 0 is the zero-shot result.  Each
+    epoch tests its best-ranked candidate; the report keeps the best score."""
+    seed_base, baseline, trained, best = _frozen_encoder_score(
+        theta, analyzer_cfg, task, q_runs, seed
+    )
     theta = np.asarray(theta, dtype=float)
     joint0 = np.concatenate([theta, trained.vector])
     n_theta = theta.shape[0]
@@ -427,28 +429,14 @@ def fine_tune(
         seed=derive_seed(seed, task.id, "finetune-es"),
     )
     state = es_init(es_cfg, mean=joint0)
-    trajectory = [(0, ups0, ups0)]
-    best_ups = ups0
+    trajectory = [(0, best[0], best[0])]
     ft_seed = derive_seed(seed, task.id, "finetune")
     for epoch in range(1, epochs + 1):
-        candidates = es_sample(state)
-        picks = train_instance_schedule(task, ft_seed, epoch)
-        returns = np.empty(population)
-        for i, joint in enumerate(candidates):
-            returns[i], _ = mean_return(task, *decode(joint), picks)
-        returns = sanitize_fitness(returns)
+        candidates, returns, _ = policy_search_epoch(task, state, decode, ft_seed, epoch)
         ext, pol = decode(candidates[int(np.argmax(returns))])
         fstars, _ = run_test_episodes(task, ext, pol, q_runs, seed_base)
-        ups_e, pp_e, zt_e = upsilon_from_fstars(task, baseline, fstars)
-        if ups_e > best_ups:
-            best_ups = ups_e
-            per_problem, z_table = pp_e, zt_e
-        trajectory.append((epoch, ups_e, best_ups))
-        es_update(state, candidates, returns)
-    return EvaluationReport(
-        mode="fine_tune",
-        upsilon=best_ups,
-        per_problem=per_problem,
-        z_table=z_table,
-        trajectory=trajectory,
-    )
+        score = upsilon_from_fstars(task, baseline, fstars)
+        if score[0] > best[0]:
+            best = score
+        trajectory.append((epoch, score[0], best[0]))
+    return EvaluationReport("fine_tune", *best, trajectory=trajectory)

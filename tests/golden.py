@@ -34,9 +34,9 @@ from popscape.analyzer import AnalyzerConfig, load_checkpoint, param_count, save
 from popscape.ela import full_suite_features, nearest_better_distances, nearest_neighbor_tour
 from popscape.es import EsConfig, EsVariant, es_init, es_sample, es_update, state_to_dict
 from popscape.metabbo import (
+    NeuralExtractor,
     TaskSpec,
     make_instance,
-    make_slot_extractor,
     policy_decode,
     policy_param_count,
     run_episode,
@@ -96,7 +96,7 @@ def desk_episode(optimizer: str) -> dict:
     )
     cfg = AnalyzerConfig()
     theta = np.random.default_rng(5).normal(0, 0.3, param_count(cfg))
-    extractor = make_slot_extractor("neural", theta, cfg)
+    extractor = NeuralExtractor(theta, cfg)
     policy_vec = np.random.default_rng(6).normal(
         0, 1, policy_param_count(task.template(), extractor.width)
     )

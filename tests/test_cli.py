@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import typing
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import popscape.cli as cli
+import popscape.trainer as trainer
 from popscape.analyzer import Observation, load_checkpoint
 from popscape.trainer import TrainingRunConfig
 from popscape.cli import (
@@ -101,6 +103,30 @@ def test_resume_continues_to_identical_history(tmp_path):
     assert (tmp_path / "full" / "history.csv").read_text() == (
         tmp_path / "part" / "history.csv"
     ).read_text()
+
+
+@pytest.mark.parametrize(
+    "checkpoints, message",
+    [(True, "different run configuration"), (False, "nothing to resume")],
+    ids=["other_config", "no_checkpoint"],
+)
+def test_refused_resume_leaves_run_directory_as_it_was(
+    run_dir, tmp_path, capsys, monkeypatch, checkpoints, message
+):
+    # a refused resume rewrote config.json and cached the refused config's
+    # baselines before it exited 2
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    if not checkpoints:
+        shutil.rmtree(run / "checkpoints")
+    kept = {name: (run / name).read_bytes() for name in ("config.json", "baselines.json")}
+    computed, real = [], trainer.compute_baseline
+    monkeypatch.setattr(trainer, "compute_baseline", lambda *a: computed.append(a) or real(*a))
+    other = train_config(tmp_path, seed=6)
+    assert main(["train", "--config", str(other), "--resume", str(run)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert {name: (run / name).read_bytes() for name in kept} == kept
+    assert computed == []
 
 
 def two_generation_config(tmp_path, name, **task_overrides):
@@ -703,6 +729,8 @@ BAD_SETTINGS = (
     (("tasks", 0, "test_functions"), [], "task de_full: empty test set"),
     (("outer", "max_generations"), -3, "max_generations must be >= 1, got -3"),
     (("outer", "max_generations"), 0, "max_generations must be >= 1, got 0"),
+    (("analyzer", "num_layers"), -1, "num_layers must be >= 1, got -1"),
+    (("tasks", 0, "budget"), -1, "task de_full: budget must be >= population_size (8), got -1"),
 )
 
 

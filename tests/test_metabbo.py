@@ -554,18 +554,12 @@ def test_q1_baseline_has_zero_sigma():
     assert all(sigma == 0.0 for _, sigma in baseline.stats.values())
 
 
-def test_slot_extractor_factory():
-    from popscape.metabbo import make_slot_extractor
-
-    assert make_slot_extractor("ela").width == 25
-    assert make_slot_extractor("handcrafted").width == 8
+def test_extractor_widths():
+    assert ElaExtractor().width == 25
+    assert HandcraftedExtractor().width == 8
     cfg = AnalyzerConfig()
     theta = np.zeros(param_count(cfg))
-    assert make_slot_extractor("neural", theta, cfg).width == cfg.hidden_dim
-    with pytest.raises(ConfigError):
-        make_slot_extractor("neural")
-    with pytest.raises(ConfigError):
-        make_slot_extractor("mystery")
+    assert NeuralExtractor(theta, cfg).width == cfg.hidden_dim
 
 
 def test_handcrafted_without_context_sees_the_population_alone(rng):

@@ -6,7 +6,7 @@ import pytest
 
 from popscape.analyzer import AnalyzerConfig, load_checkpoint, param_count
 from popscape.errors import ConfigError, IntegrityError
-from popscape.metabbo import BaselineStats, TaskSpec, UpsilonResult, compute_baseline
+from popscape.metabbo import TaskSpec, UpsilonResult, compute_baseline
 from popscape.trainer import (
     TrainingRunConfig,
     compute_baselines,
@@ -16,11 +16,11 @@ from popscape.trainer import (
     train,
     zero_shot,
 )
-from popscape import analyzer, metabbo
+from popscape import analyzer
 from popscape import trainer as trainer_module
 from popscape.utils import derive_seed
 
-from .golden import DATA, evaluation_reports
+from .golden import DATA, evaluation_reports, report_hex
 
 
 def tiny_tasks():
@@ -334,6 +334,12 @@ def test_fine_tune_epoch_zero_equals_zero_shot(trained_theta):
     )
     assert ft.trajectory[0][1] == zs.upsilon
     assert ft.trajectory[0][0] == 0
+    # with no epoch the report is the zero-shot one, every float bit for bit
+    ft0 = fine_tune(
+        trained_theta, AnalyzerConfig(), task, q_runs=2, seed=5, epochs=0, population=4
+    )
+    scored = ("upsilon", "per_problem", "z_table")
+    assert {k: report_hex(ft0)[k] for k in scored} == {k: report_hex(zs)[k] for k in scored}
 
 
 def test_fine_tune_best_so_far_non_decreasing(trained_theta):
@@ -374,17 +380,6 @@ def test_fine_tune_never_tests_a_non_finite_policy(trained_theta, monkeypatch):
     assert len(tested) == 2
     assert all(np.all(np.isfinite(policy.b2)) for policy in tested)
     assert all(np.isfinite(ups) for _, ups, _ in ft.trajectory)
-
-
-def test_fine_tune_checks_baseline_before_training(monkeypatch):
-    trained = []
-    monkeypatch.setattr(metabbo, "meta_train", lambda *a, **k: trained.append(a))
-    task = tiny_tasks()[0]
-    baseline = BaselineStats(task_id=task.id, q_runs=2, seed_base=0, stats={1: (0.0, 1.0)})
-    theta = np.zeros(param_count(AnalyzerConfig()))
-    with pytest.raises(ConfigError, match=r"missing problems \[3\]"):
-        fine_tune(theta, AnalyzerConfig(), task, q_runs=2, seed=5, baseline=baseline)
-    assert trained == []
 
 
 def test_evaluation_reports_match_golden():
